@@ -92,9 +92,6 @@ func RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
 // outcomes are bit-identical to Run. Safe for concurrent use.
 type Batch = sim.Batch
 
-// BatchCell is one (benchmark, config) cell for Batch.RunAll.
-type BatchCell = sim.BatchCell
-
 // NewBatch returns a Batch with a default-bounded trace cache.
 func NewBatch() *Batch { return sim.NewBatch() }
 

@@ -26,10 +26,11 @@
 // distributed and local runs can be byte-compared.
 //
 // Daemon mode exposes POST /jobs, GET /jobs, GET /jobs/{id},
-// DELETE /jobs/{id}, and GET /metrics. -role=coordinator additionally
-// serves the cluster lease protocol on POST /cluster/rpc and executes
-// jobs on registered workers; -role=worker joins a coordinator and
-// contributes -workers lease loops.
+// DELETE /jobs/{id}, and a Prometheus scrape on GET /metrics.
+// -role=coordinator additionally serves the cluster lease protocol on
+// POST /cluster/rpc and executes jobs on registered workers;
+// -role=worker joins a coordinator and contributes -workers lease
+// loops.
 package main
 
 import (
@@ -628,7 +629,7 @@ func serveLocal(addr string, workers int, store *farm.Store, pprofOn, observe bo
 	pool := farm.New(opts)
 	pool.Metrics().AttachSLO(farm.NewSLOTracker(farm.SLOConfig{}, nil))
 
-	api := farm.NewServer(pool, store)
+	api := farm.NewServerFor(pool, store)
 	if tel != nil {
 		api.AttachTelemetry(tel)
 	}

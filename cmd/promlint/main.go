@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	curl -fsS host/metrics?format=prometheus | promlint
+//	curl -fsS host/metrics | promlint
 package main
 
 import (

@@ -10,8 +10,7 @@ import (
 // This file adapts the farm's live state into Prometheus metric
 // families. The exposition is collect-on-scrape: every request builds
 // a fresh registry from the atomic counters and the labeled cell map,
-// so there is no second bookkeeping path that could drift from the
-// JSON /metrics view.
+// so there is no second bookkeeping path that could drift from them.
 
 // AddTo folds the pool counters, the per-cell labeled run series and
 // the wall-clock latency histograms into reg.

@@ -103,7 +103,7 @@ func TestExplainAndDiffEndpoints(t *testing.T) {
 	}
 	defer pool.Close()
 
-	api := NewServer(pool, nil)
+	api := NewServerFor(pool, nil)
 	api.AttachProvenance(col)
 	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()

@@ -3,7 +3,7 @@ package farm
 import (
 	"context"
 	"encoding/json"
-	"expvar"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -37,7 +37,7 @@ type Runner interface {
 //	                   (?bench=, ?mode=, ?engine=, ?limit=, ?after=<key>;
 //	                   ?format=outcomes for the canonical comparison set)
 //	DELETE /jobs/{id}  cancel a running job
-//	GET    /metrics    pool counters (queue depth, utilization, runs/sec)
+//	GET    /metrics    Prometheus scrape of the runner's counters
 //
 // A non-nil store gives every submitted job resume-from-partial-results
 // against the same store the CLI writes.
@@ -45,7 +45,6 @@ type Server struct {
 	runner     Runner
 	store      *Store
 	pprof      bool
-	expvar     *expvar.Map
 	telemetry  *Telemetry
 	provenance *Provenance
 	// sseInterval is the /events push period; tests shrink it.
@@ -57,10 +56,10 @@ type Server struct {
 	shutdown chan struct{} // closed by Shutdown; nil until first Handler use
 }
 
-// farmJobsVar is the process-wide expvar map live per-job counters are
-// published under ("farm.jobs" in /debug/vars). Registered once: expvar
-// panics on duplicate names, and tests build several Servers.
-var farmJobsVar = expvar.NewMap("farm.jobs")
+// maxSubmitBytes bounds a POST /jobs body. A Matrix is a few lists of
+// names and numbers, so anything near this size is malformed or hostile;
+// it matches the cluster RPC envelope bound.
+const maxSubmitBytes = 4 << 20
 
 // serverJob tracks one submitted matrix through the pool.
 type serverJob struct {
@@ -75,16 +74,11 @@ type serverJob struct {
 	finished time.Time
 }
 
-// NewServer wraps pool (and an optional store) in an HTTP API.
-func NewServer(pool *Pool, store *Store) *Server {
-	return NewServerFor(pool, store)
-}
-
 // NewServerFor wraps any Runner — an in-process Pool or a cluster
 // Coordinator — in the same HTTP API.
 func NewServerFor(r Runner, store *Store) *Server {
 	return &Server{runner: r, store: store, jobs: make(map[string]*serverJob),
-		expvar: farmJobsVar, sseInterval: time.Second, shutdown: make(chan struct{})}
+		sseInterval: time.Second, shutdown: make(chan struct{})}
 }
 
 // AttachTelemetry registers the aggregator feeding the Prometheus
@@ -167,7 +161,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /flightrec/{id}", s.handleFlightrecBundle)
 	mux.HandleFunc("GET /explain/{key}", s.handleExplain)
 	mux.HandleFunc("GET /diff/{a}/{b}", s.handleDiff)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	if s.pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -192,8 +185,13 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var m Matrix
-	if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode matrix: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&m); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("decode matrix: %w", err))
 		return
 	}
 	specs, err := m.Specs()
@@ -209,10 +207,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j.id = fmt.Sprintf("job-%d", s.seq)
 	s.jobs[j.id] = j
 	s.mu.Unlock()
-	// Publish the job's live counters: expvar.Func re-evaluates
-	// summary() on every /debug/vars read, so the values track the
-	// running pool without bookkeeping.
-	s.expvar.Set(j.id, expvar.Func(func() any { return j.summary() }))
 
 	go func() {
 		defer cancel()
@@ -519,39 +513,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.summary())
 }
 
-// metricsView is /metrics's wire form: the pool snapshot's flat fields
-// (embedded, preserving the pre-existing shape) plus live per-job
-// counters, the result store's shape, and — when the runner is a
-// cluster coordinator — the fleet state.
-type metricsView struct {
-	Snapshot
-	Jobs    map[string]jobSummary `json:"jobs,omitempty"`
-	Store   *StoreStats           `json:"store,omitempty"`
-	Cluster *ClusterSnapshot      `json:"cluster,omitempty"`
-}
-
+// handleMetrics serves the Prometheus text exposition, built fresh on
+// every scrape. A ?format= parameter is ignored, so scrape URLs written
+// as /metrics?format=prometheus keep working.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		reg := s.buildRegistry()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WriteTo(w)
-		return
-	}
-	s.mu.Lock()
-	jobs := make(map[string]jobSummary, len(s.jobs))
-	for id, j := range s.jobs {
-		jobs[id] = j.summary()
-	}
-	s.mu.Unlock()
-	mv := metricsView{Snapshot: s.runner.Metrics().Snapshot(), Jobs: jobs}
-	if s.store != nil {
-		st := s.store.Stats()
-		mv.Store = &st
-	}
-	if cs := s.clusterSnapshot(); cs != nil {
-		mv.Cluster = cs
-	}
-	writeJSON(w, http.StatusOK, mv)
+	reg := s.buildRegistry()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	reg.WriteTo(w)
 }
 
 // handleFlightrecList returns the retained triage bundles' index: ID,

@@ -2,7 +2,6 @@ package farm
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	prom "asdsim/internal/metrics"
 	"asdsim/internal/obs/span"
 	"asdsim/internal/sim"
 )
@@ -400,41 +398,29 @@ func TestServerClusterMetricFamilies(t *testing.T) {
 		LeaseExpirations: 4, Steals: 2, LateResults: 1, Completed: 10,
 		Store: &StoreStats{Segmented: true, Segments: 2, Entries: 10, CacheHits: 7, CacheMisses: 3, Compactions: 1},
 	}}
-	srv := httptest.NewServer(NewServerFor(runner, nil).Handler())
+	api := NewServerFor(runner, nil)
+	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()
 
-	r, err := http.Get(srv.URL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	payload, err := io.ReadAll(r.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prom.Lint(payload); err != nil {
-		t.Fatalf("prometheus payload fails lint: %v\n%s", err, payload)
-	}
+	payload := getScrape(t, srv.URL+"/metrics?format=prometheus")
 	for _, family := range []string{
 		"cluster_workers", "cluster_tasks_pending", "cluster_leases_active",
 		"cluster_lease_expirations_total", "cluster_steals_total",
 		"cluster_late_results_total", "cluster_completed_total",
 		"cluster_store_cache_hits_total", "cluster_store_cache_misses_total",
 	} {
-		if !strings.Contains(string(payload), "\n"+family) {
+		if !strings.Contains(payload, "\n"+family) {
 			t.Errorf("family %s missing from scrape payload", family)
 		}
 	}
 
-	// The JSON view and the SSE payload carry the same snapshot.
-	r, err = http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The scrape and the /events payload carry the same snapshot.
+	for _, line := range []string{"\ncluster_workers 3\n", "\ncluster_store_cache_hits_total 7\n"} {
+		if !strings.Contains(payload, line) {
+			t.Errorf("scrape payload missing %q", line)
+		}
 	}
-	mv := decode[struct {
-		Cluster *ClusterSnapshot `json:"cluster"`
-	}](t, r)
-	if mv.Cluster == nil || mv.Cluster.Workers != 3 || mv.Cluster.Store.CacheHits != 7 {
-		t.Fatalf("JSON metrics cluster view = %+v", mv.Cluster)
+	if cs := api.eventsFrame().Cluster; cs == nil || cs.Workers != 3 || cs.Store.CacheHits != 7 {
+		t.Fatalf("/events cluster view = %+v", cs)
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	prom "asdsim/internal/metrics"
 	"asdsim/internal/sim"
 )
 
@@ -18,7 +20,7 @@ import (
 func startTestServer(t *testing.T, run RunFunc) *httptest.Server {
 	t.Helper()
 	pool := New(Options{Workers: 4, Backoff: time.Millisecond, Run: run})
-	srv := httptest.NewServer(NewServer(pool, nil).Handler())
+	srv := httptest.NewServer(NewServerFor(pool, nil).Handler())
 	t.Cleanup(func() {
 		srv.Close()
 		pool.Close()
@@ -44,6 +46,27 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// getScrape fetches a Prometheus exposition and checks its grammar.
+func getScrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := prom.Lint(body); err != nil {
+		t.Fatalf("scrape fails grammar lint: %v\n%s", err, body)
+	}
+	return string(body)
 }
 
 // Submit a matrix, poll to completion, and check status, aggregated
@@ -105,13 +128,11 @@ func TestServerJobLifecycle(t *testing.T) {
 		t.Errorf("runs misshapen: %d rows", len(st.Runs))
 	}
 
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := decode[Snapshot](t, mresp)
-	if m.Completed != 8 || m.Workers != 4 {
-		t.Errorf("metrics %+v", m)
+	scrape := getScrape(t, srv.URL+"/metrics")
+	for _, line := range []string{"\nfarm_runs_completed_total 8\n", "\nfarm_workers 4\n"} {
+		if !strings.Contains(scrape, line) {
+			t.Errorf("scrape missing %q:\n%s", line, scrape)
+		}
 	}
 
 	lresp, err := http.Get(srv.URL + "/jobs")
@@ -151,6 +172,30 @@ func TestServerErrors(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+	resp.Body.Close()
+}
+
+// POST /jobs bodies are bounded: an oversize body is refused with 413
+// before it is buffered, while an ordinary matrix is still accepted.
+func TestServerSubmitBodyBound(t *testing.T) {
+	srv := startTestServer(t, func(ctx context.Context, s Spec) (sim.Result, error) {
+		return fakeResult(1), nil
+	})
+
+	huge := `{"benchmarks":["` + strings.Repeat("a", maxSubmitBytes) + `"]}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body: status %d, want 413", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	resp = postJSON(t, srv.URL+"/jobs", Matrix{Benchmarks: []string{"GemsFDTD"}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("normal matrix: status %d, want 202", resp.StatusCode)
 	}
 	resp.Body.Close()
 }

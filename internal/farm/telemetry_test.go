@@ -21,7 +21,7 @@ func startTelemetryServer(t *testing.T, run RunFunc) (*httptest.Server, *Server,
 	t.Helper()
 	tel := NewTelemetry()
 	pool := New(Options{Workers: 4, Backoff: time.Millisecond, Run: run, Instrument: tel.Instrument})
-	api := NewServer(pool, nil)
+	api := NewServerFor(pool, nil)
 	api.AttachTelemetry(tel)
 	api.sseInterval = 20 * time.Millisecond
 	srv := httptest.NewServer(api.Handler())

@@ -2,9 +2,8 @@ package sim
 
 import (
 	"context"
-	"time"
 
-	"asdsim/internal/cpu"
+	"asdsim/internal/stats"
 	"asdsim/internal/trace"
 	"asdsim/internal/workload"
 )
@@ -24,13 +23,7 @@ type Batch struct {
 }
 
 // NewBatch returns a Batch with a default-bounded trace cache.
-func NewBatch() *Batch { return NewBatchSize(0) }
-
-// NewBatchSize returns a Batch whose trace cache is bounded to
-// maxBytes (values <= 0 use workload.DefaultTraceCacheBytes).
-func NewBatchSize(maxBytes int64) *Batch {
-	return &Batch{cache: workload.NewTraceCache(maxBytes)}
-}
+func NewBatch() *Batch { return &Batch{cache: workload.NewTraceCache(0)} }
 
 // CacheStats reports trace-cache effectiveness: (Misses) traces
 // generated, (Hits) cells that reused one.
@@ -45,69 +38,32 @@ func (b *Batch) Run(bench string, cfg Config) (Result, error) {
 
 // RunContext is Run with cancellation.
 func (b *Batch) RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized Results
-	r, err := b.buildRunner(bench, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := r.loop(ctx); err != nil {
-		return Result{}, err
-	}
-	res := r.collect(bench)
-	res.stamp(start)
-	return res, nil
+	return runExact(ctx, bench, cfg, b.replayRunner)
 }
 
-// RunAll runs every (benchmark, config) cell sequentially through the
-// shared-trace path, in order. Callers wanting parallelism should fan
-// out their own goroutines over RunContext (the farm does); RunAll is
-// the simple serial driver.
-func (b *Batch) RunAll(ctx context.Context, cells []BatchCell) ([]Result, error) {
-	out := make([]Result, 0, len(cells))
-	for _, c := range cells {
-		res, err := b.RunContext(ctx, c.Benchmark, c.Config)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// BatchCell is one (benchmark, config) matrix cell for Batch.RunAll.
-type BatchCell struct {
-	Benchmark string
-	Config    Config
-}
-
-// buildRunner assembles a runner whose threads replay the batch's
+// replayRunner builds a runner whose threads replay the batch's
 // materialized traces through private cursors, with the ground-truth
-// stream-length histograms injected from materialization time.
-func (b *Batch) buildRunner(bench string, cfg Config) (*runner, error) {
+// stream-length histograms taken at materialization time. The cursors
+// are also handed to fast-forward so sampled runs can skip records in
+// bulk.
+func (b *Batch) replayRunner(bench string, cfg Config) (*runner, error) {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
-	r := newRunnerShell(cfg)
-	for t := 0; t < cfg.Threads; t++ {
+	srcs := make([]trace.Source, cfg.Threads)
+	trueLens := make([]*stats.Histogram, cfg.Threads)
+	recs := make([][]trace.Record, cfg.Threads)
+	cursors := make([]*trace.SliceSource, cfg.Threads)
+	for t := range srcs {
 		mt, err := b.cache.Get(prof, cfg.Seed, t, cfg.InstrBudget)
 		if err != nil {
 			return nil, err
 		}
-		src := trace.NewSliceSource(mt.Records)
-		th := cpu.NewThread(t, src, cpu.Config{
-			Window:             cfg.Window,
-			MaxOutstanding:     cfg.MaxOutstanding,
-			BudgetInstructions: cfg.InstrBudget,
-		})
-		th.SetObserver(r.cfg.Obs)
-		r.threads = append(r.threads, th)
-		r.trueLens = append(r.trueLens, mt.TrueLengths)
-		r.ffRecs = append(r.ffRecs, mt.Records)
-		r.ffSrcs = append(r.ffSrcs, src)
+		cursors[t] = trace.NewSliceSource(mt.Records)
+		srcs[t], trueLens[t], recs[t] = cursors[t], mt.TrueLengths, mt.Records
 	}
+	r := newRunner(cfg, srcs, trueLens)
+	r.ffRecs, r.ffSrcs = recs, cursors
 	return r, nil
 }

@@ -96,38 +96,6 @@ func TestBatchFanOutRace(t *testing.T) {
 	}
 }
 
-// TestBatchRunAll covers the serial driver: results arrive in cell
-// order and match the direct path.
-func TestBatchRunAll(t *testing.T) {
-	b := NewBatch()
-	cfg := Default(PMS, goldenBudget)
-	cells := []BatchCell{
-		{Benchmark: "GemsFDTD", Config: cfg},
-		{Benchmark: "milc", Config: cfg},
-	}
-	results, err := b.RunAll(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	for i, c := range cells {
-		if results[i].Benchmark != c.Benchmark {
-			t.Errorf("result %d: benchmark %q, want %q", i, results[i].Benchmark, c.Benchmark)
-		}
-		want, err := Run(c.Benchmark, c.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gj, _ := json.Marshal(results[i])
-		wj, _ := json.Marshal(want)
-		if !bytes.Equal(gj, wj) {
-			t.Errorf("RunAll result %d differs from serial Run", i)
-		}
-	}
-}
-
 // TestBatchInvalidBenchmark checks error paths: unknown benchmarks and
 // invalid configs fail without caching anything.
 func TestBatchInvalidBenchmark(t *testing.T) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"asdsim/internal/mc"
@@ -62,51 +63,21 @@ func TestDemandTrafficInvariantAcrossMS(t *testing.T) {
 	}
 }
 
-// Replaying a generator-written trace must reproduce the generator-driven
-// run exactly: same cycles, same MC statistics.
-func TestRunTraceMatchesRun(t *testing.T) {
-	cfg := Default(PMS, 200_000)
-	direct, err := Run("wrf", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, _ := workload.ByName("wrf")
-	g := workload.MustGenerator(prof, cfg.Seed, 0)
-	// Capture enough records to cover the instruction budget.
-	recs := trace.Collect(trace.Limit(g, 100_000), 0)
-	replay, err := RunTrace("wrf-replay", []trace.Source{trace.NewSliceSource(recs)}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Cycles != replay.Cycles {
-		t.Errorf("cycles differ: direct=%d replay=%d", direct.Cycles, replay.Cycles)
-	}
-	if direct.MC != replay.MC {
-		t.Errorf("MC stats differ:\ndirect %+v\nreplay %+v", direct.MC, replay.MC)
-	}
-}
-
-func TestRunTraceSourceCountMismatch(t *testing.T) {
-	cfg := Default(NP, 1000)
-	if _, err := RunTrace("x", nil, cfg); err == nil {
-		t.Error("expected error for missing sources")
-	}
-	cfg.Threads = 2
-	if _, err := RunTrace("x", []trace.Source{trace.NewSliceSource(nil)}, cfg); err == nil {
-		t.Error("expected error for 1 source with 2 threads")
-	}
-}
-
-// A trace that runs out before the budget must still terminate cleanly.
-func TestRunTraceShortTrace(t *testing.T) {
+// A source that runs out before the budget must still terminate
+// cleanly: the loop retires the thread when its source is exhausted.
+func TestNewRunnerShortSource(t *testing.T) {
 	cfg := Default(MS, 1_000_000)
 	recs := trace.Collect(trace.Limit(workload.MustGenerator(mustProf(t, "lbm"), 1, 0), 500), 0)
-	res, err := RunTrace("short", []trace.Source{trace.NewSliceSource(recs)}, cfg)
-	if err != nil {
+	r := newRunner(cfg, []trace.Source{trace.NewSliceSource(recs)}, nil)
+	if err := r.loop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	res := r.collect("short")
 	if res.Instructions == 0 || res.Cycles == 0 {
-		t.Errorf("short trace produced no progress: %+v", res)
+		t.Errorf("short source produced no progress: %+v", res)
+	}
+	if res.Instructions >= cfg.InstrBudget {
+		t.Errorf("short source retired %d instructions, want fewer than the %d budget", res.Instructions, cfg.InstrBudget)
 	}
 }
 

@@ -113,7 +113,6 @@ type flight struct {
 type runner struct {
 	cfg     Config
 	threads []*cpu.Thread
-	gens    []*workload.Generator
 	hier    *cache.Hierarchy
 	dram    *dram.DRAM
 	ctrl    *mc.Controller
@@ -127,10 +126,9 @@ type runner struct {
 	cmdID      uint64
 	lastLine   []mem.Line // per-thread last accessed line (PS observation)
 
-	// trueLens, when non-nil, are per-thread ground-truth stream-length
-	// histograms collected at trace materialization time; collect merges
-	// them instead of live generator state (the batched path replays a
-	// materialized trace, so there are no live generators).
+	// trueLens are the per-thread ground-truth stream-length histograms:
+	// a live generator's own, or the snapshot taken when a shared trace
+	// was materialized. collect merges them into Result.TrueLengths.
 	trueLens []*stats.Histogram
 
 	// Fast-forward recent-line filter (sampled mode only, one table per
@@ -191,11 +189,22 @@ func Run(bench string, cfg Config) (Result, error) {
 // event-loop iterations and aborts promptly with ctx's error when it is
 // cancelled or its deadline passes.
 func RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
+	return runExact(ctx, bench, cfg, liveRunner)
+}
+
+// builder assembles a runner for one (bench, cfg) cell from a validated
+// cfg: liveRunner drives live generators, Batch.replayRunner replays
+// shared materialized traces.
+type builder func(bench string, cfg Config) (*runner, error)
+
+// runExact is the exact-run driver shared by every entry point:
+// validate, build, run to completion, collect and stamp.
+func runExact(ctx context.Context, bench string, cfg Config, build builder) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized Results
-	r, err := buildRunner(bench, cfg)
+	r, err := build(bench, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -207,69 +216,30 @@ func RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// RunTrace simulates arbitrary per-thread trace sources (one per
-// configured thread) under cfg — the replay path for traces written by
-// cmd/tracegen or collected externally. Ground-truth stream statistics
-// (Result.TrueLengths) are unavailable in this mode.
-func RunTrace(name string, sources []trace.Source, cfg Config) (Result, error) {
-	return RunTraceContext(context.Background(), name, sources, cfg)
-}
-
-// RunTraceContext is RunTrace with cancellation.
-func RunTraceContext(ctx context.Context, name string, sources []trace.Source, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if len(sources) != cfg.Threads {
-		return Result{}, fmt.Errorf("sim: %d trace sources for %d threads", len(sources), cfg.Threads)
-	}
-	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized Results
-	r := newRunnerShell(cfg)
-	for t, src := range sources {
-		th := cpu.NewThread(t, src, cpu.Config{
-			Window:             cfg.Window,
-			MaxOutstanding:     cfg.MaxOutstanding,
-			BudgetInstructions: cfg.InstrBudget,
-		})
-		th.SetObserver(r.cfg.Obs)
-		r.threads = append(r.threads, th)
-	}
-	if err := r.loop(ctx); err != nil {
-		return Result{}, err
-	}
-	res := r.collect(name)
-	res.stamp(start)
-	return res, nil
-}
-
-// buildRunner assembles the system for one named-benchmark run.
-func buildRunner(bench string, cfg Config) (*runner, error) {
+// liveRunner builds a runner whose threads drive live workload
+// generators, so no trace is ever held in memory whatever the budget.
+func liveRunner(bench string, cfg Config) (*runner, error) {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
-	r := newRunnerShell(cfg)
-	for t := 0; t < cfg.Threads; t++ {
+	srcs := make([]trace.Source, cfg.Threads)
+	trueLens := make([]*stats.Histogram, cfg.Threads)
+	for t := range srcs {
 		g, err := workload.NewGenerator(prof, cfg.Seed, t)
 		if err != nil {
 			return nil, err
 		}
-		r.gens = append(r.gens, g)
-		th := cpu.NewThread(t, g, cpu.Config{
-			Window:             cfg.Window,
-			MaxOutstanding:     cfg.MaxOutstanding,
-			BudgetInstructions: cfg.InstrBudget,
-		})
-		th.SetObserver(r.cfg.Obs)
-		r.threads = append(r.threads, th)
+		srcs[t], trueLens[t] = g, g.TrueLengths
 	}
-	return r, nil
+	return newRunner(cfg, srcs, trueLens), nil
 }
 
-// newRunnerShell wires the memory system (caches, MC, DRAM, prefetchers)
-// without threads.
-func newRunnerShell(cfg Config) *runner {
-	r := &runner{cfg: cfg, flights: make(map[mem.Line]*flight), lastLine: make([]mem.Line, cfg.Threads)}
+// newRunner wires the memory system (caches, MC, DRAM, prefetchers) and
+// one thread per source. trueLens holds each thread's ground-truth
+// stream-length histogram, which collect merges into the Result.
+func newRunner(cfg Config, sources []trace.Source, trueLens []*stats.Histogram) *runner {
+	r := &runner{cfg: cfg, flights: make(map[mem.Line]*flight), lastLine: make([]mem.Line, cfg.Threads), trueLens: trueLens}
 	r.hier = cache.NewHierarchy(cfg.Cache)
 	r.dram = dram.New(cfg.DRAM)
 
@@ -299,6 +269,15 @@ func newRunnerShell(cfg Config) *runner {
 
 	if cfg.psEnabled() {
 		r.ps = prefetch.NewPS(cfg.PS)
+	}
+	for t, src := range sources {
+		th := cpu.NewThread(t, src, cpu.Config{
+			Window:             cfg.Window,
+			MaxOutstanding:     cfg.MaxOutstanding,
+			BudgetInstructions: cfg.InstrBudget,
+		})
+		th.SetObserver(cfg.Obs)
+		r.threads = append(r.threads, th)
 	}
 	return r
 }
@@ -645,14 +624,8 @@ func (r *runner) collect(bench string) Result {
 		res.PSIssued = r.ps.Issued
 	}
 	res.TrueLengths = stats.NewHistogram(16)
-	if r.trueLens != nil {
-		for _, h := range r.trueLens {
-			merge(res.TrueLengths, h)
-		}
-	} else {
-		for _, g := range r.gens {
-			merge(res.TrueLengths, g.TrueLengths)
-		}
+	for _, h := range r.trueLens {
+		merge(res.TrueLengths, h)
 	}
 	if len(r.engines) > 0 {
 		if eng, ok := r.engines[0].(*core.Engine); ok {
@@ -674,13 +647,4 @@ func merge(dst, src *stats.Histogram) {
 			dst.ObserveN(i, c)
 		}
 	}
-}
-
-// newRunnerForTest builds (but does not run) a runner; tests use it to
-// inspect internal component state after a run.
-func newRunnerForTest(bench string, cfg Config) (*runner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return buildRunner(bench, cfg)
 }

@@ -160,19 +160,7 @@ func Sampled(bench string, cfg Config, sc SampleConfig) (SampledResult, error) {
 
 // SampledContext is Sampled with cancellation.
 func SampledContext(ctx context.Context, bench string, cfg Config, sc SampleConfig) (SampledResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return SampledResult{}, err
-	}
-	sc = sc.WithDefaults()
-	if err := sc.Validate(); err != nil {
-		return SampledResult{}, err
-	}
-	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized results
-	r, err := buildRunner(bench, cfg)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	return runSampled(ctx, r, bench, sc, start)
+	return runSampled(ctx, bench, cfg, sc, liveRunner)
 }
 
 // RunSampled is the shared-trace sampled path: like SampledContext but
@@ -180,6 +168,13 @@ func SampledContext(ctx context.Context, bench string, cfg Config, sc SampleConf
 // live generators, so a sweep's sampled cells also amortize trace
 // generation.
 func (b *Batch) RunSampled(ctx context.Context, bench string, cfg Config, sc SampleConfig) (SampledResult, error) {
+	return runSampled(ctx, bench, cfg, sc, b.replayRunner)
+}
+
+// runSampled is the sampled-run driver shared by every entry point:
+// validate, build, drive the alternating detailed/functional schedule,
+// assemble the estimate and stamp it.
+func runSampled(ctx context.Context, bench string, cfg Config, sc SampleConfig, build builder) (SampledResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return SampledResult{}, err
 	}
@@ -188,17 +183,11 @@ func (b *Batch) RunSampled(ctx context.Context, bench string, cfg Config, sc Sam
 		return SampledResult{}, err
 	}
 	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized results
-	r, err := b.buildRunner(bench, cfg)
+	r, err := build(bench, cfg)
 	if err != nil {
 		return SampledResult{}, err
 	}
-	return runSampled(ctx, r, bench, sc, start)
-}
-
-// runSampled drives the alternating detailed/functional schedule and
-// assembles the estimate.
-func runSampled(ctx context.Context, r *runner, bench string, sc SampleConfig, start time.Time) (SampledResult, error) {
-	budget := r.cfg.InstrBudget
+	budget := cfg.InstrBudget
 	r.initFF()
 	done := ctx.Done()
 	var cpis []float64
@@ -249,13 +238,10 @@ func runSampled(ctx context.Context, r *runner, bench string, sc SampleConfig, s
 
 	mean, sd := meanStdDev(cpis)
 	half := tCritical(sc.Confidence, len(cpis)-1) * sd / math.Sqrt(float64(len(cpis)))
-	var instr uint64
-	for _, th := range r.threads {
-		instr += th.Instructions
-	}
+	_, instr := r.progress()
 	res := SampledResult{
 		Benchmark:            bench,
-		Mode:                 r.cfg.Mode,
+		Mode:                 cfg.Mode,
 		Windows:              len(cpis),
 		MeasuredInstructions: measured,
 		Instructions:         instr,

@@ -12,7 +12,7 @@ import (
 // fast-forward never oversteps the target even when the wake cycle lies
 // beyond it.
 func TestStepMCToGuards(t *testing.T) {
-	r, err := newRunnerForTest("GemsFDTD", Default(NP, 1000))
+	r, err := liveRunner("GemsFDTD", Default(NP, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 // Package trace defines the execution-trace representation that drives the
-// simulator, plus binary and text codecs for storing traces on disk and a
-// uniform sampler mirroring the paper's methodology (50 uniformly chosen
-// samples of 2M instructions each).
+// simulator, plus binary and text codecs for storing traces on disk.
 //
 // A trace is a flat sequence of records. Each record describes one memory
 // operation together with the number of non-memory instructions that
@@ -253,92 +251,4 @@ func (tr *Reader) fail(err error) {
 		return
 	}
 	tr.err = err
-}
-
-// Sample describes one uniform sample of a longer execution, mirroring the
-// paper's 50-samples-of-2M-instructions methodology.
-type Sample struct {
-	// SkipInstructions is how many instructions (memory and compute) to
-	// fast-forward before the sample begins.
-	SkipInstructions uint64
-	// Instructions is the sample length in instructions.
-	Instructions uint64
-}
-
-// UniformSamples slices a run of totalInstructions into count samples of
-// sampleLen instructions each, uniformly spaced. It returns fewer samples
-// when the run is too short for the requested plan.
-func UniformSamples(totalInstructions, sampleLen uint64, count int) []Sample {
-	if count <= 0 || sampleLen == 0 || totalInstructions == 0 {
-		return nil
-	}
-	if sampleLen*uint64(count) >= totalInstructions {
-		// Degenerate: the whole run is one sample.
-		return []Sample{{SkipInstructions: 0, Instructions: totalInstructions}}
-	}
-	stride := totalInstructions / uint64(count)
-	samples := make([]Sample, 0, count)
-	for i := 0; i < count; i++ {
-		start := uint64(i) * stride
-		if start+sampleLen > totalInstructions {
-			break
-		}
-		samples = append(samples, Sample{SkipInstructions: start, Instructions: sampleLen})
-	}
-	return samples
-}
-
-// SampledSource passes through records of src that fall inside the sample
-// windows, skipping (but still counting) instructions outside them. Gap
-// instructions count toward instruction positions.
-type SampledSource struct {
-	src     Source
-	samples []Sample
-	// pos is the absolute instruction position consumed so far.
-	pos uint64
-	cur int
-}
-
-// NewSampledSource wraps src with the given sample plan. Samples must be
-// sorted by SkipInstructions and non-overlapping (as produced by
-// UniformSamples).
-func NewSampledSource(src Source, samples []Sample) *SampledSource {
-	return &SampledSource{src: src, samples: samples}
-}
-
-// Next implements Source.
-func (ss *SampledSource) Next() (Record, bool) {
-	for {
-		if ss.cur >= len(ss.samples) {
-			return Record{}, false
-		}
-		s := ss.samples[ss.cur]
-		rec, ok := ss.src.Next()
-		if !ok {
-			return Record{}, false
-		}
-		recStart := ss.pos
-		ss.pos += uint64(rec.Gap) + 1
-		switch {
-		case ss.pos <= s.SkipInstructions:
-			// Entirely before the window: skip.
-			continue
-		case recStart >= s.SkipInstructions+s.Instructions:
-			// Past the window: advance to next sample and
-			// reconsider this record against it.
-			ss.cur++
-			ss.pos = recStart // rewind accounting; re-add below
-			ss.pos += uint64(rec.Gap) + 1
-			if ss.cur >= len(ss.samples) {
-				return Record{}, false
-			}
-			next := ss.samples[ss.cur]
-			if recStart >= next.SkipInstructions && recStart < next.SkipInstructions+next.Instructions {
-				return rec, true
-			}
-			continue
-		default:
-			return rec, true
-		}
-	}
 }

@@ -198,65 +198,6 @@ func TestReaderEmptyStream(t *testing.T) {
 	}
 }
 
-func TestUniformSamples(t *testing.T) {
-	s := UniformSamples(1000, 10, 5)
-	if len(s) != 5 {
-		t.Fatalf("len = %d, want 5", len(s))
-	}
-	for i, smp := range s {
-		if smp.Instructions != 10 {
-			t.Errorf("sample %d len = %d", i, smp.Instructions)
-		}
-		if i > 0 && smp.SkipInstructions <= s[i-1].SkipInstructions {
-			t.Errorf("samples not increasing at %d", i)
-		}
-	}
-	// Degenerate: requested more than available.
-	s = UniformSamples(100, 50, 5)
-	if len(s) != 1 || s[0].Instructions != 100 {
-		t.Errorf("degenerate plan = %v", s)
-	}
-	if UniformSamples(0, 10, 5) != nil || UniformSamples(100, 0, 5) != nil || UniformSamples(100, 10, 0) != nil {
-		t.Error("invalid plans should be nil")
-	}
-}
-
-func TestSampledSource(t *testing.T) {
-	// 10 records, each 1 instruction (gap 0): positions 0..9.
-	recs := make([]Record, 10)
-	for i := range recs {
-		recs[i] = Record{Op: Load, Addr: mem.Addr(i * 128)}
-	}
-	samples := []Sample{{SkipInstructions: 2, Instructions: 3}, {SkipInstructions: 7, Instructions: 2}}
-	ss := NewSampledSource(NewSliceSource(recs), samples)
-	got := Collect(ss, 0)
-	wantAddrs := []mem.Addr{2 * 128, 3 * 128, 4 * 128, 7 * 128, 8 * 128}
-	if len(got) != len(wantAddrs) {
-		t.Fatalf("got %d records %v, want %d", len(got), got, len(wantAddrs))
-	}
-	for i, w := range wantAddrs {
-		if got[i].Addr != w {
-			t.Errorf("record %d addr = %d, want %d", i, got[i].Addr, w)
-		}
-	}
-}
-
-func TestSampledSourceWithGaps(t *testing.T) {
-	// Records at instruction positions: rec0 ends at 5 (gap 4 + 1),
-	// rec1 ends at 10, rec2 at 15.
-	recs := []Record{
-		{Gap: 4, Op: Load, Addr: 0},
-		{Gap: 4, Op: Load, Addr: 128},
-		{Gap: 4, Op: Load, Addr: 256},
-	}
-	// Window covering positions [5,10): only rec1 (start pos 5).
-	ss := NewSampledSource(NewSliceSource(recs), []Sample{{SkipInstructions: 5, Instructions: 5}})
-	got := Collect(ss, 0)
-	if len(got) != 1 || got[0].Addr != 128 {
-		t.Errorf("got %v, want just addr 128", got)
-	}
-}
-
 func BenchmarkWriterThroughput(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	recs := make([]Record, 4096)
