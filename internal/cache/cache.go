@@ -291,14 +291,17 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.Hits) / float64(c.Accesses)
 }
 
-// Reset clears contents and statistics. Stale tags are harmless (the
-// valid mask rejects them) and the recency orders stay valid
-// permutations, so only the per-set masks need clearing.
+// Reset clears contents and statistics, leaving the cache
+// indistinguishable from a New one by any sequence of operations.
+// Only the per-set masks need clearing: stale tags are rejected by the
+// valid mask, and the stale recency orders are never consulted. A
+// victim is taken from the recency order only when every way of its
+// set is valid, and each valid way was moved to the MRU (or LRU) end
+// when it was inserted after the reset, so by then the order depends
+// on post-reset operations alone.
 func (c *Cache) Reset() {
-	for s := range c.valid {
-		c.valid[s] = 0
-		c.dirty[s] = 0
-	}
+	clear(c.valid)
+	clear(c.dirty)
 	c.Accesses = 0
 	c.Hits = 0
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -357,5 +358,128 @@ func TestSetOfPathsAgree(t *testing.T) {
 				t.Fatalf("sets=%d: unexpected eviction %+v at line %d", sets, v, l)
 			}
 		}
+	}
+}
+
+// A Reset cache must be indistinguishable from a New one: after a
+// random history that leaves stale tags, dirty bits and shuffled
+// recency orders behind, Reset, then drive it and a New cache of the
+// same geometry with one random operation sequence and require every
+// return value to match step for step. Probes concentrate on a few
+// sets (line 0 among them, which a zero tag could false-match) so every
+// set fills and LRU victims come from the recency orders.
+func TestResetMatchesNew(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, g := range []struct {
+		name        string
+		size, assoc int
+	}{
+		{"L1", cfg.L1Size, cfg.L1Assoc},
+		{"L2", cfg.L2Size, cfg.L2Assoc},
+		{"L3", cfg.L3Size, cfg.L3Assoc},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			used := New(g.name, g.size, g.assoc)
+			sets := used.Sets()
+			hot := []int{0, 1, sets / 2, sets - 1}
+			pool := make([]mem.Line, 0, len(hot)*(2*g.assoc+2))
+			for _, s := range hot {
+				for k := 0; k < 2*g.assoc+2; k++ {
+					pool = append(pool, mem.Line(s+k*sets))
+				}
+			}
+			rng := uint64(7)
+			next := func(n int) int {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				return int(rng >> 33 % uint64(n))
+			}
+			for i := 0; i < 4000; i++ {
+				used.InsertLRU(pool[next(len(pool))], next(2) == 1)
+				used.Insert(pool[next(len(pool))], next(2) == 1)
+				used.Lookup(pool[next(len(pool))], next(2) == 1)
+				if next(4) == 0 {
+					used.Invalidate(pool[next(len(pool))])
+				}
+			}
+			used.Reset()
+			fresh := New(g.name, g.size, g.assoc)
+
+			for i := 0; i < 20000; i++ {
+				l, flag := pool[next(len(pool))], next(2) == 1
+				var a, b any
+				switch op := next(6); op {
+				case 0:
+					a, b = used.Lookup(l, flag), fresh.Lookup(l, flag)
+				case 1:
+					a, b = used.Contains(l), fresh.Contains(l)
+				case 2:
+					va, eva := used.Insert(l, flag)
+					vb, evb := fresh.Insert(l, flag)
+					a, b = [2]any{va, eva}, [2]any{vb, evb}
+				case 3:
+					if fresh.Contains(l) || used.Contains(l) {
+						a, b = used.Contains(l), fresh.Contains(l)
+						break // InsertAbsent needs an absence proof
+					}
+					va, eva := used.InsertAbsent(l, flag)
+					vb, evb := fresh.InsertAbsent(l, flag)
+					a, b = [2]any{va, eva}, [2]any{vb, evb}
+				case 4:
+					va, eva := used.InsertLRU(l, flag)
+					vb, evb := fresh.InsertLRU(l, flag)
+					a, b = [2]any{va, eva}, [2]any{vb, evb}
+				case 5:
+					pa, da := used.Invalidate(l)
+					pb, db := fresh.Invalidate(l)
+					a, b = [2]bool{pa, da}, [2]bool{pb, db}
+				}
+				if a != b {
+					t.Fatalf("step %d line %d: reset cache -> %v, new cache -> %v", i, l, a, b)
+				}
+			}
+			if used.Accesses != fresh.Accesses || used.Hits != fresh.Hits {
+				t.Fatalf("stats: reset %d/%d, new %d/%d", used.Hits, used.Accesses, fresh.Hits, fresh.Accesses)
+			}
+		})
+	}
+}
+
+// A Reset hierarchy must match a NewHierarchy one access for access,
+// counters included.
+func TestHierarchyResetMatchesNew(t *testing.T) {
+	cfg := DefaultConfig()
+	used := NewHierarchy(cfg)
+	rng := uint64(3)
+	line := func() mem.Line {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return mem.Line(rng >> 40 % 1_000_000)
+	}
+	for i := 0; i < 200_000; i++ {
+		l := line()
+		if used.Access(l, i%3 == 0, 0).Level == Memory {
+			used.Fill(l, i%5 == 0)
+		}
+	}
+	used.Reset()
+	if used.Config() != cfg {
+		t.Fatalf("Config() = %+v, want %+v", used.Config(), cfg)
+	}
+	fresh := NewHierarchy(cfg)
+	for i := 0; i < 200_000; i++ {
+		l, store := line(), i%7 == 0
+		ra, rb := used.Access(l, store, 0), fresh.Access(l, store, 0)
+		if ra.Level != rb.Level || fmt.Sprint(ra.Writebacks) != fmt.Sprint(rb.Writebacks) {
+			t.Fatalf("access %d line %d: reset %+v, new %+v", i, l, ra, rb)
+		}
+		if ra.Level == Memory {
+			wa, wb := fmt.Sprint(used.Fill(l, store)), fmt.Sprint(fresh.Fill(l, store))
+			if wa != wb {
+				t.Fatalf("fill %d line %d: reset writebacks %s, new %s", i, l, wa, wb)
+			}
+		}
+	}
+	if used.DemandMisses != fresh.DemandMisses || used.WritebacksToMemory != fresh.WritebacksToMemory {
+		t.Fatalf("counters: reset %d/%d, new %d/%d", used.DemandMisses, used.WritebacksToMemory,
+			fresh.DemandMisses, fresh.WritebacksToMemory)
 	}
 }

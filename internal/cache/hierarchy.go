@@ -88,6 +88,10 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	}
 }
 
+// Config returns the geometry and latencies the hierarchy was built
+// with.
+func (h *Hierarchy) Config() Config { return h.cfg }
+
 // Result describes the outcome of one access walk.
 type Result struct {
 	// Level where the access hit (Memory on a full miss).
@@ -220,7 +224,9 @@ func (h *Hierarchy) Contains(line mem.Line) bool {
 	return h.L1.Contains(line) || h.L2.Contains(line) || h.L3.Contains(line)
 }
 
-// Reset clears all levels and counters.
+// Reset clears all levels and counters, leaving the hierarchy
+// equivalent to a NewHierarchy of the same Config (see Cache.Reset). The
+// observer stays attached.
 func (h *Hierarchy) Reset() {
 	h.L1.Reset()
 	h.L2.Reset()

@@ -22,8 +22,11 @@ type Worker struct {
 	Pool      *farm.Pool
 	// Name labels the worker in coordinator logs and dashboards.
 	Name string
-	// Poll is the idle wait between acquire attempts when the queue is
-	// empty (default 250ms; tests shrink it).
+	// Poll caps the idle wait between acquire attempts when the queue
+	// is empty (default 250ms; tests shrink it). The wait starts at
+	// Poll/64 after a grant and doubles with each empty acquire, so a
+	// worker between bursts of work picks up the next spec within
+	// milliseconds while a long-idle one polls once per Poll.
 	Poll time.Duration
 	// Spans, when set, records an "execute" span per lease (parented on
 	// the coordinator's lease span via the grant's trace context) and
@@ -82,13 +85,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := register(); err != nil {
 		return err
 	}
-	// statsEvery spaces stats-carrying idle heartbeats at roughly the
-	// heartbeat cadence, counted in poll sleeps (no wall-clock reads).
-	statsEvery := int(hbEvery / poll)
-	if statsEvery < 1 {
-		statsEvery = 1
-	}
-	idleSince := 0
+	// wait is the next idle sleep; idleSlept sums the idle sleeps since
+	// the last stats-carrying heartbeat, which spaces those at roughly
+	// the heartbeat cadence without wall-clock reads.
+	minWait := max(poll/64, time.Microsecond)
+	wait := minWait
+	var idleSlept time.Duration
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -110,18 +112,20 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		if resp.Grant == nil {
 			w.stats.noteIdlePoll()
-			idleSince++
-			if idleSince%statsEvery == 0 {
+			if idleSlept >= hbEvery {
 				// Acquire already refreshed liveness; this heartbeat only
 				// pushes the federation snapshot. Best-effort.
 				w.Transport.Heartbeat(ctx, HeartbeatRequest{WorkerID: id, Stats: w.snapshot()})
+				idleSlept = 0
 			}
-			if serr := sleepCtx(ctx, poll); serr != nil {
+			if serr := sleepCtx(ctx, wait); serr != nil {
 				return serr
 			}
+			idleSlept += wait
+			wait = min(2*wait, poll)
 			continue
 		}
-		idleSince = 0
+		wait, idleSlept = minWait, 0
 		w.stats.noteAcquired()
 		w.runLease(ctx, id, resp.Grant, hbEvery)
 	}

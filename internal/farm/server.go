@@ -50,11 +50,21 @@ type Server struct {
 	// sseInterval is the /events push period; tests shrink it.
 	sseInterval time.Duration
 
-	mu       sync.Mutex
-	seq      int
-	jobs     map[string]*serverJob
+	mu   sync.Mutex
+	seq  int
+	jobs map[string]*serverJob
+	// finished holds the ids of jobs in s.jobs that have finished, oldest
+	// first; past maxFinishedJobs the oldest leave the table.
+	finished []string
 	shutdown chan struct{} // closed by Shutdown; nil until first Handler use
 }
+
+// maxFinishedJobs bounds how many finished jobs the server remembers, so
+// a long-running server holds bounded memory however many jobs it
+// serves. Running jobs are never evicted; an evicted job's id answers
+// 404, and its outcomes stay in the store, where a resubmission of the
+// same matrix finds them.
+const maxFinishedJobs = 1024
 
 // maxSubmitBytes bounds a POST /jobs body. A Matrix is a few lists of
 // names and numbers, so anything near this size is malformed or hostile;
@@ -215,15 +225,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			j.outcomes = append(j.outcomes, o)
 			j.mu.Unlock()
 		})
+		// Finishing and retiring is one step under s.mu, so a client that
+		// reads the job as finished also sees it counted for eviction.
+		s.mu.Lock()
 		j.mu.Lock()
 		if j.state == "running" {
 			j.state = "done"
 		}
 		j.finished = time.Now()
 		j.mu.Unlock()
+		s.retireLocked(j.id)
+		s.mu.Unlock()
 	}()
 
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": j.id, "runs": len(specs)})
+}
+
+// retireLocked records a finished job and evicts the oldest finished
+// jobs beyond maxFinishedJobs. The caller holds s.mu.
+func (s *Server) retireLocked(id string) {
+	s.finished = append(s.finished, id)
+	for len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // jobSummary is the wire form of a job's progress.

@@ -244,3 +244,90 @@ func TestServerCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// Soak the job table: past maxFinishedJobs finished jobs the oldest
+// finished ones are evicted (404 on GET and DELETE) while the table
+// stays bounded, and a running job is never evicted however old it is.
+func TestServerJobTableBounded(t *testing.T) {
+	release := make(chan struct{})
+	pool := New(Options{Workers: 2, Backoff: time.Millisecond, Run: func(ctx context.Context, s Spec) (sim.Result, error) {
+		if s.Benchmark == "milc" {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+		return sim.Result{Cycles: 10, Instructions: 20, IPC: 2}, nil
+	}})
+	api := NewServerFor(pool, nil)
+	srv := httptest.NewServer(api.Handler())
+	t.Cleanup(func() {
+		close(release)
+		srv.Close()
+		pool.Close()
+	})
+	status := func(method, id string) int {
+		req, _ := http.NewRequest(method, srv.URL+"/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	get := func(path string) *http.Response {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	tableSize := func() int {
+		api.mu.Lock()
+		defer api.mu.Unlock()
+		return len(api.jobs)
+	}
+
+	type submitted struct{ ID string }
+	running := decode[submitted](t, postJSON(t, srv.URL+"/jobs", Matrix{Benchmarks: []string{"milc"}, Modes: []string{"NP"}})).ID
+	const quick = maxFinishedJobs + 50
+	ids := make([]string, quick)
+	for i := range ids {
+		ids[i] = decode[submitted](t, postJSON(t, srv.URL+"/jobs", Matrix{Benchmarks: []string{"tpcc"}, Modes: []string{"NP"}})).ID
+		for decode[struct{ Job jobSummary }](t, get("/jobs/"+ids[i])).Job.State != "done" {
+			time.Sleep(100 * time.Microsecond)
+		}
+		// The running job, this one, and the finished ones kept.
+		if n := tableSize(); n > maxFinishedJobs+2 {
+			t.Fatalf("after %d jobs the table holds %d, want <= %d", i+1, n, maxFinishedJobs+2)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for tableSize() != maxFinishedJobs+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("table holds %d jobs, want %d", tableSize(), maxFinishedJobs+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if got := status(http.MethodGet, running); got != http.StatusOK {
+		t.Fatalf("GET running %s = %d, want 200", running, got)
+	}
+	for _, id := range ids[:quick-maxFinishedJobs] {
+		if got := status(http.MethodGet, id); got != http.StatusNotFound {
+			t.Fatalf("GET evicted %s = %d, want 404", id, got)
+		}
+		if got := status(http.MethodDelete, id); got != http.StatusNotFound {
+			t.Fatalf("DELETE evicted %s = %d, want 404", id, got)
+		}
+	}
+	for _, id := range ids[quick-maxFinishedJobs:] {
+		if got := status(http.MethodGet, id); got != http.StatusOK {
+			t.Fatalf("GET kept %s = %d, want 200", id, got)
+		}
+	}
+	list := decode[[]jobSummary](t, get("/jobs"))
+	if len(list) != maxFinishedJobs+1 || list[0].ID != running {
+		t.Fatalf("GET /jobs lists %d jobs starting %q, want %d starting %q", len(list), list[0].ID, maxFinishedJobs+1, running)
+	}
+}

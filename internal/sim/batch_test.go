@@ -53,8 +53,8 @@ func TestGoldenBatchMatchesSerial(t *testing.T) {
 }
 
 // TestBatchFanOutRace runs many cells concurrently against one Batch —
-// shared read-only trace, per-cell private state — and checks each
-// against the serial path. Run under -race this is the data-race proof
+// shared read-only trace, shared idle-hierarchy list, per-cell private
+// state — and checks each against the serial path. Run under -race this is the data-race proof
 // for the fan-out design.
 func TestBatchFanOutRace(t *testing.T) {
 	cfgs := goldenMatrix()

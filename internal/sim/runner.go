@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"asdsim/internal/cache"
@@ -212,8 +215,57 @@ func runExact(ctx context.Context, bench string, cfg Config, build builder) (Res
 		return Result{}, err
 	}
 	res := r.collect(bench)
+	releaseHierarchy(r.hier)
 	res.stamp(start)
 	return res, nil
+}
+
+// idleHiers recycles cache hierarchies across runs, newest last.
+// Building one costs about a millisecond and megabytes (the 36 MB L3's
+// tag array alone is 2.3 MB), as much as a whole short simulation; Reset
+// clears one in microseconds and leaves it indistinguishable from a new
+// one, so outcomes are unchanged. The drivers return a runner's
+// hierarchy only after a run completes: one that errors or panics drops
+// its hierarchy with the rest of its state.
+//
+// The list keeps at most GOMAXPROCS hierarchies, about as many as can
+// simulate at once, and a garbage collection never empties it (a
+// sync.Pool would): whether a run rebuilds its hierarchy then depends
+// on the runs before it alone, not on when the collector last ran, so
+// set-up cost and heap size are the same from one process to the next.
+var idleHiers struct {
+	mu   sync.Mutex
+	list []*cache.Hierarchy
+}
+
+// takeHierarchy returns a cleared hierarchy of geometry cfg: the newest
+// idle one of that Config, else a new one.
+func takeHierarchy(cfg cache.Config) *cache.Hierarchy {
+	idleHiers.mu.Lock()
+	for i := len(idleHiers.list) - 1; i >= 0; i-- {
+		if h := idleHiers.list[i]; h.Config() == cfg {
+			idleHiers.list = slices.Delete(idleHiers.list, i, i+1)
+			idleHiers.mu.Unlock()
+			h.Reset()
+			return h
+		}
+	}
+	idleHiers.mu.Unlock()
+	return cache.NewHierarchy(cfg)
+}
+
+// releaseHierarchy makes a finished run's hierarchy idle, detaching its
+// observer so the list pins no probe bus. A full list drops its oldest
+// hierarchy, so mixing geometries costs fresh builds but never grows it.
+func releaseHierarchy(h *cache.Hierarchy) {
+	h.SetObserver(nil)
+	limit := runtime.GOMAXPROCS(0)
+	idleHiers.mu.Lock()
+	if n := len(idleHiers.list); n >= limit {
+		idleHiers.list = slices.Delete(idleHiers.list, 0, n-limit+1)
+	}
+	idleHiers.list = append(idleHiers.list, h)
+	idleHiers.mu.Unlock()
 }
 
 // liveRunner builds a runner whose threads drive live workload
@@ -240,7 +292,7 @@ func liveRunner(bench string, cfg Config) (*runner, error) {
 // stream-length histogram, which collect merges into the Result.
 func newRunner(cfg Config, sources []trace.Source, trueLens []*stats.Histogram) *runner {
 	r := &runner{cfg: cfg, flights: make(map[mem.Line]*flight), lastLine: make([]mem.Line, cfg.Threads), trueLens: trueLens}
-	r.hier = cache.NewHierarchy(cfg.Cache)
+	r.hier = takeHierarchy(cfg.Cache)
 	r.dram = dram.New(cfg.DRAM)
 
 	var adaptive *core.AdaptiveScheduler

@@ -255,6 +255,7 @@ func runSampled(ctx context.Context, bench string, cfg Config, sc SampleConfig, 
 		EstIPC:               1 / mean,
 		Sample:               sc,
 	}
+	releaseHierarchy(r.hier)
 	res.WallSeconds = time.Since(start).Seconds() //asd:allow determinism wall-clock throughput stamp; excluded from serialized results
 	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"asdsim/internal/stats"
 	"asdsim/internal/trace"
@@ -30,11 +31,22 @@ type MaterializedTrace struct {
 	Instructions uint64
 }
 
-// sizeBytes approximates the trace's memory footprint for cache
-// accounting.
+// sizeBytes is the trace's footprint as a TraceCache holds it: the
+// records' whole backing array (Materialize grows it by append, so its
+// capacity runs past its length), the ground-truth histogram, and the
+// cache slot around them. Allocator size-class rounding aside, this is
+// what the heap holds per cached trace.
 func (m *MaterializedTrace) sizeBytes() int64 {
-	return int64(len(m.Records))*16 + 256
+	return int64(cap(m.Records))*int64(unsafe.Sizeof(trace.Record{})) +
+		int64(m.TrueLengths.Buckets())*8 + slotOverheadBytes
 }
+
+// slotOverheadBytes is a cached trace's fixed cost beside its records
+// and histogram buckets: the cache entry, the MaterializedTrace and
+// histogram headers, the key's profile hash (64 hex digits) and the map
+// slot (key and entry pointer).
+const slotOverheadBytes = int64(unsafe.Sizeof(cacheEntry{}) + unsafe.Sizeof(MaterializedTrace{}) +
+	unsafe.Sizeof(stats.Histogram{}) + 2*sha256.Size + unsafe.Sizeof(traceKey{}) + unsafe.Sizeof(&cacheEntry{}))
 
 // Materialize generates the trace a thread with the given per-thread
 // instruction budget consumes: records are produced while the running
@@ -128,11 +140,19 @@ type TraceCache struct {
 	evictions  uint64
 }
 
-// DefaultTraceCacheBytes bounds a default cache. A 2M-instruction
-// benchmark trace is under 1 MiB, so this comfortably holds every
-// registered benchmark at sweep budgets while still bounding runaway
-// custom matrices.
-const DefaultTraceCacheBytes = 256 << 20
+// DefaultTraceCacheBytes bounds a default cache. Reuse is short-range:
+// matrices are benchmark-major (every mode and variant of one benchmark
+// before the next) and farm workers take cells in spec order, so all
+// the Gets of one trace fall within a few cells of each other whatever
+// the worker count, and a trace's reuse distance is one or two other
+// traces. A 2M-instruction trace (the figures budget) holds 1.0-1.5
+// MiB, so 8 MiB keeps five to eight of them, several times that
+// distance, while a long-running server whose jobs each bring fresh
+// seeds holds megabytes of never-reused traces instead of hundreds. A
+// run that revisits a benchmark only after many others (figures all,
+// figure after figure) regenerates its trace: 3-5 ms at 2M
+// instructions, against tens of milliseconds for the cell.
+const DefaultTraceCacheBytes = 8 << 20
 
 // NewTraceCache returns a cache bounded to maxBytes (values <= 0 use
 // DefaultTraceCacheBytes).

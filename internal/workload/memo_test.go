@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -204,5 +205,36 @@ func TestProfileHashContent(t *testing.T) {
 	b.MeanGap++
 	if ProfileHash(a) == ProfileHash(b) {
 		t.Fatal("profiles with different MeanGap hash equal")
+	}
+}
+
+// The cache's byte accounting must track what its traces hold on the
+// heap: filling a cache with many short traces (where the records'
+// spare capacity and the per-entry overhead matter most) must grow the
+// live heap by about the Bytes the cache reports.
+func TestTraceCacheBytesMatchLiveHeap(t *testing.T) {
+	prof, err := ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	c := NewTraceCache(1 << 40)
+	for seed := uint64(1); seed <= 400; seed++ {
+		if _, err := c.Get(prof, seed, 0, 20_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	live := float64(ms.HeapAlloc) - float64(before)
+	acct := float64(c.Stats().Bytes)
+	runtime.KeepAlive(c)
+	r := acct / live
+	t.Logf("accounted %.0f B, live %.0f B, ratio %.3f", acct, live, r)
+	if r < 0.9 || r > 1.1 {
+		t.Fatalf("cache accounts %.0f B for %.0f B of live heap (ratio %.2f), want within 10%%", acct, live, r)
 	}
 }
