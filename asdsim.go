@@ -132,12 +132,7 @@ func FocusBenchmarks() []string { return workload.FocusBenchmarks() }
 // Gain returns the percentage performance improvement of res over base:
 // 100 * (base.Cycles/res.Cycles - 1). Both runs must have executed the
 // same instruction budget for the comparison to be meaningful.
-func Gain(base, res Result) float64 {
-	if res.Cycles == 0 {
-		return 0
-	}
-	return 100 * (float64(base.Cycles)/float64(res.Cycles) - 1)
-}
+func Gain(base, res Result) float64 { return sim.Gain(base.Cycles, res.Cycles) }
 
 // Comparison holds one benchmark's results under the four configurations.
 type Comparison struct {

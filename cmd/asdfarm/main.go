@@ -7,7 +7,7 @@
 //	asdfarm run [-suites s1,s2|-benchmarks b1,b2] [-modes NP,PS,MS,PMS]
 //	            [-engine asd|next-line|p5-style|ghb] [-threads N]
 //	            [-budget N] [-seed N] [-derive-seeds] [-workers N]
-//	            [-timeout D] [-retries N] [-out results.jsonl]
+//	            [-timeout D] [-retries N] [-out results/]
 //	            [-outcomes canon.json] [-cluster http://host:8465]
 //	            [-trace trace.json] [-quiet]
 //	asdfarm serve [-role local|coordinator|worker] [-addr :8465]
@@ -17,8 +17,7 @@
 // Batch mode prints a live progress meter, a per-benchmark gain table
 // (when NP/PS/MS/PMS all ran), and throughput totals. With -out,
 // results append to a store as they complete; rerunning with the same
-// -out resumes, skipping every run already on disk. A -out path ending
-// in .jsonl is the single-file legacy layout; any other path is a
+// -out resumes, skipping every run already on disk. -out names a
 // segmented store directory with background compaction. With -cluster,
 // the matrix is submitted to a coordinator's job API and executed by
 // its worker fleet instead of in-process; -outcomes writes the
@@ -136,7 +135,7 @@ func runBatch(args []string) {
 	sampleDetail := fs.Uint64("sample-detail", 0, "measured detailed instructions per window (0 = default)")
 	sampleFuncWarm := fs.Uint64("sample-funcwarm", 0, "bound functional warming to the last N instructions before each window (0 = warm the whole gap)")
 	sampleConf := fs.Float64("sample-confidence", 0, "confidence level for CPI intervals: 0.90, 0.95 or 0.99 (0 = default)")
-	out := fs.String("out", "", "results store (file or directory); enables persistence and resume")
+	out := fs.String("out", "", "results store directory; enables persistence and resume")
 	provDir := fs.String("prov", "", "provenance sidecar directory; records every run's per-prefetch lineage for 'asdfarm explain'/'diff'")
 	outcomes := fs.String("outcomes", "", "write the canonical outcome set (sorted JSON, wall-clock-free) here")
 	clusterURL := fs.String("cluster", "", "coordinator base URL; run the matrix on the distributed farm")
@@ -194,7 +193,7 @@ func runBatch(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		opts.Provenance = farm.NewProvenance(ps, 0).Attach
+		opts.Provenance = farm.NewProvenance(ps).Attach
 	}
 	pool := farm.New(opts)
 	runMatrix(pool, specs, store, *outcomes, *quiet)
@@ -527,7 +526,7 @@ func printReport(outcomes []farm.Outcome) {
 		for _, b := range order {
 			c := byBench[b]
 			gain := func(base, res *farm.Outcome) float64 {
-				return 100 * (float64(base.Result.Cycles)/float64(res.Result.Cycles) - 1)
+				return sim.Gain(base.Result.Cycles, res.Result.Cycles)
 			}
 			g1 := gain(c[sim.NP], c[sim.PMS])
 			g2 := gain(c[sim.NP], c[sim.MS])
@@ -576,15 +575,24 @@ func serve(args []string) {
 	role := fs.String("role", "local", "local (in-process pool), coordinator (distribute to workers), worker (join a coordinator)")
 	addr := fs.String("addr", ":8465", "listen address (local, coordinator)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations (local, worker: lease loops)")
-	out := fs.String("out", "", "results store shared by every job: a .jsonl file or a segment directory")
+	out := fs.String("out", "", "results store directory shared by every job")
 	coordURL := fs.String("coordinator", "", "coordinator base URL to join (worker)")
 	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "lease TTL before an unrenewed task is reclaimed (coordinator)")
 	workerTTL := fs.Duration("worker-ttl", 10*time.Second, "worker liveness TTL (coordinator)")
 	name := fs.String("name", "", "worker label shown by the coordinator (default hostname)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof endpoints under /debug/pprof/")
-	observe := fs.Bool("observe", true, "attach per-run telemetry (flight recorder, sparklines, depth table)")
+	observe := fs.Bool("observe", true, "attach per-run telemetry: flight recorder, sparklines, depth table (local role)")
 	provDir := fs.String("prov", "", "provenance sidecar directory; records per-prefetch lineage and serves /explain and /diff (local role)")
 	fs.Parse(args)
+	if *role != "local" {
+		// Only the local role runs telemetry; refuse the flag rather
+		// than ignore it where it would have no effect.
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "observe" {
+				fatal(fmt.Errorf("-observe applies to -role=local only, not %q", *role))
+			}
+		})
+	}
 
 	var store *farm.Store
 	if *out != "" {
@@ -604,7 +612,7 @@ func serve(args []string) {
 		if *coordURL == "" {
 			fatal(errors.New("serve -role=worker needs -coordinator=<url>"))
 		}
-		serveWorker(*coordURL, *workers, *name, *observe)
+		serveWorker(*coordURL, *workers, *name)
 	default:
 		fatal(fmt.Errorf("unknown serve role %q (local, coordinator, worker)", *role))
 	}
@@ -623,11 +631,11 @@ func serveLocal(addr string, workers int, store *farm.Store, pprofOn, observe bo
 		if err != nil {
 			fatal(err)
 		}
-		pcol = farm.NewProvenance(ps, 0)
+		pcol = farm.NewProvenance(ps)
 		opts.Provenance = pcol.Attach
 	}
 	pool := farm.New(opts)
-	pool.Metrics().AttachSLO(farm.NewSLOTracker(farm.SLOConfig{}, nil))
+	pool.Metrics().AttachSLO(farm.NewSLOTracker(nil))
 
 	api := farm.NewServerFor(pool, store)
 	if tel != nil {
@@ -650,7 +658,7 @@ func serveLocal(addr string, workers int, store *farm.Store, pprofOn, observe bo
 func serveCoordinator(addr string, store *farm.Store, leaseTTL, workerTTL time.Duration, pprofOn bool) {
 	coord := cluster.New(cluster.Options{LeaseTTL: leaseTTL, WorkerTTL: workerTTL, Store: store,
 		Logger: logger.With("role", "coordinator")})
-	coord.Metrics().AttachSLO(farm.NewSLOTracker(farm.SLOConfig{}, nil))
+	coord.Metrics().AttachSLO(farm.NewSLOTracker(nil))
 	api := farm.NewServerFor(coord, store)
 	if pprofOn {
 		api.EnablePprof()
@@ -664,19 +672,12 @@ func serveCoordinator(addr string, store *farm.Store, leaseTTL, workerTTL time.D
 
 // serveWorker joins a coordinator and serves leases until interrupted:
 // one lease loop per configured slot, all feeding one local pool.
-func serveWorker(coordURL string, slots int, name string, observe bool) {
+func serveWorker(coordURL string, slots int, name string) {
 	if name == "" {
 		name, _ = os.Hostname()
 	}
 	wlog := logger.With("role", "worker", "worker", name)
-	opts := farm.Options{Workers: slots}
-	var tel *farm.Telemetry
-	if observe {
-		tel = farm.NewTelemetry()
-		tel.Node = name
-		opts.Instrument = tel.Instrument
-	}
-	pool := farm.New(opts)
+	pool := farm.New(farm.Options{Workers: slots})
 	defer pool.Close()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

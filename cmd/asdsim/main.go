@@ -202,7 +202,7 @@ func run() int {
 			if baseline == 0 {
 				baseline = sres.EstCycles
 			}
-			gain := 100 * (float64(baseline)/float64(sres.EstCycles) - 1)
+			gain := sim.Gain(baseline, sres.EstCycles)
 			fmt.Printf("%-4s sampled CPI=%.4f ±%.4f (%d%% CI %.4f-%.4f) windows=%d estIPC=%.3f estCycles=%d gain-vs-first=%+.1f%% wall=%.3fs\n",
 				mode, sres.CPIMean, sres.CPIHalfWidth, int(sres.Confidence*100+0.5),
 				sres.CILo, sres.CIHi, sres.Windows, sres.EstIPC, sres.EstCycles, gain, sres.WallSeconds)
@@ -216,7 +216,7 @@ func run() int {
 			if baseline == 0 {
 				baseline = res.Cycles
 			}
-			gain := 100 * (float64(baseline)/float64(res.Cycles) - 1)
+			gain := sim.Gain(baseline, res.Cycles)
 			fmt.Printf("%-4s cycles=%-10d IPC=%.3f gain-vs-first=%+.1f%% wall=%.3fs (%.1fM cyc/s)\n",
 				mode, res.Cycles, res.IPC, gain, res.WallSeconds, res.CyclesPerSec/1e6)
 		}

@@ -20,6 +20,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -39,15 +40,10 @@ type Options struct {
 	// WorkerTTL is how long a silent worker stays registered
 	// (default 10s); workers are told to heartbeat at TTL/3.
 	WorkerTTL time.Duration
-	// MaxLeaseLosses bounds how many times one task's lease may expire
-	// before the task is failed instead of retried (default 5).
-	MaxLeaseLosses int
 	// Store is the shared result store: resumed reads and completed
-	// writes. Optional; without it every batch re-executes.
+	// writes, and the only store RunBatch accepts. Optional; without it
+	// every batch re-executes.
 	Store *farm.Store
-	// Metrics receives the coordinator's pool-equivalent counters; one
-	// is created if nil.
-	Metrics *farm.Metrics
 	// Now is the injected clock; the default is the system clock. Tests
 	// substitute a fake to drive expiry deterministically.
 	Now func() time.Time
@@ -65,17 +61,12 @@ func New(opts Options) *Coordinator {
 	if opts.WorkerTTL <= 0 {
 		opts.WorkerTTL = 10 * time.Second
 	}
-	if opts.MaxLeaseLosses <= 0 {
-		opts.MaxLeaseLosses = 5
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = farm.NewMetrics()
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now // clock injection point; never called in-package elsewhere
 	}
 	return &Coordinator{
 		opts:    opts,
+		metrics: farm.NewMetrics(),
 		spans:   span.NewRecorder("coordinator", opts.Now),
 		workers: make(map[string]*workerState),
 		tasks:   make(map[string]*ctask),
@@ -89,6 +80,7 @@ func New(opts Options) *Coordinator {
 // mutate, then deliver completions outside the lock.
 type Coordinator struct {
 	opts     Options
+	metrics  *farm.Metrics
 	counters counters
 	spans    *span.Recorder
 
@@ -114,6 +106,10 @@ type workerHealth struct {
 	lastBeat time.Time
 	snap     *WorkerSnapshot
 }
+
+// maxLeaseLosses bounds how many times one task's lease may expire
+// before the task is failed instead of retried.
+const maxLeaseLosses = 5
 
 // maxFleetEntries bounds the retained per-worker federation map; the
 // oldest dead entries are evicted beyond it.
@@ -301,7 +297,7 @@ func (c *Coordinator) logInfo(msg string, args ...any) {
 }
 
 // Metrics returns the coordinator's counters (farm.Runner).
-func (c *Coordinator) Metrics() *farm.Metrics { return c.opts.Metrics }
+func (c *Coordinator) Metrics() *farm.Metrics { return c.metrics }
 
 // Workers returns the live registered node count (farm.Runner).
 func (c *Coordinator) Workers() int {
@@ -573,7 +569,7 @@ func (c *Coordinator) finishTaskLocked(t *ctask, o farm.Outcome) delivery {
 			c.storeErr = err
 		}
 	}
-	c.opts.Metrics.RecordOutcome(&t.spec, &o)
+	c.metrics.RecordOutcome(&t.spec, &o)
 	c.counters.noteCompleted()
 	if t.root != nil {
 		status := "ok"
@@ -639,7 +635,7 @@ func (c *Coordinator) sweepLocked(now time.Time) []delivery {
 			span.Attr{Key: "lease", Value: l.id})
 		t.losses++
 		t.lastWorker = l.worker
-		if t.losses >= c.opts.MaxLeaseLosses {
+		if t.losses >= maxLeaseLosses {
 			o := farm.Outcome{Key: t.key, Benchmark: t.spec.Benchmark, Mode: t.spec.Mode,
 				Engine: t.spec.Config.Engine.String(), Seed: t.spec.Config.Seed,
 				Err:      fmt.Sprintf("cluster: lease lost %d times (workers keep dying mid-run)", t.losses),
@@ -660,9 +656,9 @@ func (c *Coordinator) sweepLocked(now time.Time) []delivery {
 // updateGaugesLocked mirrors the queue/lease depths into the shared
 // farm metrics so the existing dashboard fields stay meaningful.
 func (c *Coordinator) updateGaugesLocked() {
-	c.opts.Metrics.SetWorkers(len(c.workers))
-	c.opts.Metrics.SetQueued(len(c.pending))
-	c.opts.Metrics.SetBusy(len(c.leases))
+	c.metrics.SetWorkers(len(c.workers))
+	c.metrics.SetQueued(len(c.pending))
+	c.metrics.SetBusy(len(c.leases))
 }
 
 // RunBatch implements farm.Runner over the fleet: store-resumed cells
@@ -670,13 +666,17 @@ func (c *Coordinator) updateGaugesLocked() {
 // are enqueued — coalescing with identical in-flight work — and the
 // call blocks until every cell completes or ctx is cancelled. Outcomes
 // come back in spec order regardless of which workers ran what.
+// Options.Store is the only store the coordinator reads and writes: a
+// non-nil store argument must be that store, and any other is refused
+// before anything is enqueued.
 func (c *Coordinator) RunBatch(ctx context.Context, specs []farm.Spec, store *farm.Store, onDone func(farm.Outcome)) ([]farm.Outcome, error) {
-	if store == nil {
-		store = c.opts.Store
+	if store != nil && store != c.opts.Store {
+		return nil, errors.New("cluster: RunBatch store is not the coordinator's Options.Store")
 	}
+	store = c.opts.Store
 	b := &batch{out: make([]farm.Outcome, len(specs)), remaining: len(specs),
 		done: make(chan struct{}), onDone: onDone}
-	c.opts.Metrics.RecordSubmitted(len(specs))
+	c.metrics.RecordSubmitted(len(specs))
 
 	type resumedSlot struct {
 		i int
@@ -714,7 +714,7 @@ func (c *Coordinator) RunBatch(ctx context.Context, specs []farm.Spec, store *fa
 	c.mu.Unlock()
 
 	if n := len(resumed); n > 0 {
-		c.opts.Metrics.RecordResumed(n)
+		c.metrics.RecordResumed(n)
 	}
 	for _, r := range resumed {
 		b.deliver(r.i, r.o)

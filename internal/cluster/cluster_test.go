@@ -251,14 +251,13 @@ func TestWorkerDeathReclaimsItsLeases(t *testing.T) {
 
 func TestLeaseLossBudgetFailsTask(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Options{LeaseTTL: 5 * time.Second, WorkerTTL: time.Hour,
-		MaxLeaseLosses: 2, Now: clk.Now})
+	c := New(Options{LeaseTTL: 5 * time.Second, WorkerTTL: time.Hour, Now: clk.Now})
 	spec := testSpec("fma3d", sim.MS)
 	ret := startBatch(c, context.Background(), []farm.Spec{spec}, nil)
 	waitPending(t, c, 1)
 
 	w := mustRegister(t, c, "w")
-	for loss := 0; loss < 2; loss++ {
+	for loss := 0; loss < maxLeaseLosses; loss++ {
 		g, err := c.Acquire(AcquireRequest{WorkerID: w.WorkerID})
 		if err != nil || g.Grant == nil {
 			t.Fatalf("acquire (loss %d): %+v %v", loss, g, err)
@@ -266,7 +265,7 @@ func TestLeaseLossBudgetFailsTask(t *testing.T) {
 		clk.Advance(6 * time.Second) // let the lease rot
 	}
 	// The coordinator is passive: expiry is only noticed inside a
-	// request. The snapshot's sweep sees the second loss, exhausts the
+	// request. The snapshot's sweep sees the last loss, exhausts the
 	// budget, and fails the task.
 	c.ClusterSnapshot()
 	r := <-ret
@@ -371,6 +370,46 @@ func TestReadThroughStoreServesRepeatsWithoutWorkers(t *testing.T) {
 	}
 	if snap.Store == nil || snap.Store.CacheHits < 2 {
 		t.Fatalf("store stats %+v, want >= 2 cache hits", snap.Store)
+	}
+}
+
+// The coordinator reads and writes only Options.Store. A batch handed
+// any other store — with Options.Store set or nil — is refused before
+// anything is enqueued, instead of resuming from one store and
+// appending to another (or to none).
+func TestRunBatchRejectsForeignStore(t *testing.T) {
+	open := func(name string) *farm.Store {
+		st, err := farm.OpenStore(filepath.Join(t.TempDir(), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	spec := testSpec("equake", sim.PMS)
+	foreign := open("foreign")
+	if err := foreign.Append(fakeOutcome(spec, 9)); err != nil {
+		t.Fatal(err)
+	}
+	mine := open("own")
+	if err := mine.Append(fakeOutcome(spec, 7)); err != nil {
+		t.Fatal(err)
+	}
+	for _, own := range []*farm.Store{mine, nil} {
+		c := New(Options{Store: own, Now: newFakeClock().Now})
+		out, err := c.RunBatch(context.Background(), []farm.Spec{spec}, foreign, nil)
+		if err == nil {
+			t.Fatalf("own store %v: foreign store accepted, out %+v", own != nil, out)
+		}
+		if snap := c.ClusterSnapshot(); snap.TasksPending != 0 {
+			t.Fatalf("own store %v: %d tasks enqueued before the refusal", own != nil, snap.TasksPending)
+		}
+		if own != nil {
+			out, err := c.RunBatch(context.Background(), []farm.Spec{spec}, own, nil)
+			if err != nil || !out[0].Resumed || out[0].Result.Cycles != 7 {
+				t.Fatalf("own store passed explicitly: %+v %v", out, err)
+			}
+		}
 	}
 }
 

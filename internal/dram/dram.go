@@ -191,11 +191,6 @@ func (d *DRAM) Decode(l mem.Line) Decoded {
 	return Decoded{Bank: int(col % d.totalBanks), Row: col / d.totalBanks}
 }
 
-// BankOf returns the bank index a line maps to.
-func (d *DRAM) BankOf(l mem.Line) int {
-	return d.Decode(l).Bank
-}
-
 // applyRefresh lazily accounts auto-refresh for the bank: every TREFI
 // clocks the bank's rank refreshes, closing the open row and holding the
 // bank for TRFC. Refresh slots are staggered across ranks by a quarter
@@ -224,14 +219,9 @@ func (d *DRAM) applyRefresh(bankIdx int, bk *bank, now uint64) {
 	}
 }
 
-// BankBusy reports whether the bank holding line is still occupied at
-// cycle now, and whether the occupying command was a memory-side
-// prefetch.
-func (d *DRAM) BankBusy(l mem.Line, now uint64) (busy, byPrefetch bool) {
-	return d.BankBusyD(d.Decode(l), now)
-}
-
-// BankBusyD is BankBusy for a pre-decoded line.
+// BankBusyD reports whether the bank holding the pre-decoded line is
+// still occupied at cycle now, and whether the occupying command was a
+// memory-side prefetch.
 //
 //asd:hotpath
 func (d *DRAM) BankBusyD(dec Decoded, now uint64) (busy, byPrefetch bool) {
@@ -242,13 +232,9 @@ func (d *DRAM) BankBusyD(dec Decoded, now uint64) (busy, byPrefetch bool) {
 	return false, false
 }
 
-// CanIssue reports whether a command for line could begin at cycle now
-// without waiting on its bank (the data bus may still delay the burst).
-func (d *DRAM) CanIssue(l mem.Line, now uint64) bool {
-	return d.CanIssueD(d.Decode(l), now)
-}
-
-// CanIssueD is CanIssue for a pre-decoded line.
+// CanIssueD reports whether a command for the pre-decoded line could
+// begin at cycle now without waiting on its bank (the data bus may
+// still delay the burst).
 //
 //asd:hotpath
 func (d *DRAM) CanIssueD(dec Decoded, now uint64) bool {
@@ -265,13 +251,9 @@ func (d *DRAM) CanIssueD(dec Decoded, now uint64) bool {
 //asd:hotpath
 func (d *DRAM) ReadyAtD(dec Decoded) uint64 { return d.banks[dec.Bank].readyAt }
 
-// WouldRowHit reports whether line would hit its bank's open row (the
-// AHB scheduler uses this to prefer row-buffer hits).
-func (d *DRAM) WouldRowHit(l mem.Line) bool {
-	return d.WouldRowHitD(d.Decode(l))
-}
-
-// WouldRowHitD is WouldRowHit for a pre-decoded line.
+// WouldRowHitD reports whether the pre-decoded line would hit its
+// bank's open row (the AHB scheduler uses this to prefer row-buffer
+// hits).
 //
 //asd:hotpath
 func (d *DRAM) WouldRowHitD(dec Decoded) bool {
@@ -279,17 +261,13 @@ func (d *DRAM) WouldRowHitD(dec Decoded) bool {
 	return bk.rowOpen && bk.row == dec.Row
 }
 
-// Issue performs a read or write of line starting no earlier than cycle
-// now and returns the cycle at which the data transfer completes. The
-// model serialises per-bank operations, enforces tRC between activates,
-// charges precharge+activate on row misses, and serialises bursts on the
-// shared data bus. isPrefetch tags the bank for conflict attribution.
-func (d *DRAM) Issue(l mem.Line, isWrite, isPrefetch bool, now uint64) uint64 {
-	return d.IssueD(l, d.Decode(l), isWrite, isPrefetch, now)
-}
-
-// IssueD is Issue for a pre-decoded line (l is still needed for probe
-// events).
+// IssueD performs a read or write of line (decoded as dec; l is still
+// needed for probe events) starting no earlier than cycle now and
+// returns the cycle at which the data transfer completes. The model
+// serialises per-bank operations, enforces tRC between activates,
+// charges precharge+activate on row misses, and serialises bursts on
+// the shared data bus. isPrefetch tags the bank for conflict
+// attribution.
 //
 //asd:hotpath
 func (d *DRAM) IssueD(l mem.Line, dec Decoded, isWrite, isPrefetch bool, now uint64) uint64 {

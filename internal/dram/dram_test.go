@@ -39,20 +39,20 @@ func TestDecodeMapping(t *testing.T) {
 	// Lines 0-3 -> bank rotates col%2... col = line/4.
 	// line 0..3: col 0 -> bank 0, row 0; line 4..7: col 1 -> bank 1 row 0;
 	// line 8..11: col 2 -> bank 0 row 1.
-	if b := d.BankOf(0); b != 0 {
-		t.Errorf("BankOf(0) = %d", b)
+	if b := d.Decode(0).Bank; b != 0 {
+		t.Errorf("Decode(0).Bank = %d", b)
 	}
-	if b := d.BankOf(4); b != 1 {
-		t.Errorf("BankOf(4) = %d", b)
+	if b := d.Decode(4).Bank; b != 1 {
+		t.Errorf("Decode(4).Bank = %d", b)
 	}
-	if b := d.BankOf(8); b != 0 {
-		t.Errorf("BankOf(8) = %d", b)
+	if b := d.Decode(8).Bank; b != 0 {
+		t.Errorf("Decode(8).Bank = %d", b)
 	}
 }
 
 func TestColdReadLatency(t *testing.T) {
 	d := tiny()
-	done := d.Issue(0, false, false, 0)
+	done := d.IssueD(0, d.Decode(0), false, false, 0)
 	// Cold bank: ACT at 0, CAS at tRCD=4, data at +tCL=8..12.
 	if done != 12 {
 		t.Errorf("cold read completes at %d, want 12", done)
@@ -65,9 +65,9 @@ func TestColdReadLatency(t *testing.T) {
 
 func TestRowHitLatency(t *testing.T) {
 	d := tiny()
-	first := d.Issue(0, false, false, 0)
+	first := d.IssueD(0, d.Decode(0), false, false, 0)
 	// Line 1 shares the row: CAS-only, but bank ready only after first.
-	done := d.Issue(1, false, false, first)
+	done := d.IssueD(1, d.Decode(1), false, false, first)
 	if done != first+4+4 { // tCL + burst
 		t.Errorf("row-hit read completes at %d, want %d", done, first+8)
 	}
@@ -78,10 +78,10 @@ func TestRowHitLatency(t *testing.T) {
 
 func TestRowConflictLatency(t *testing.T) {
 	d := tiny()
-	first := d.Issue(0, false, false, 0) // opens row 0 of bank 0
+	first := d.IssueD(0, d.Decode(0), false, false, 0) // opens row 0 of bank 0
 	// Line 8 is bank 0 row 1: precharge (4) + activate (but tRC=15 from
 	// the activate at cycle 0 binds) + tRCD + tCL + burst.
-	done := d.Issue(8, false, false, first)
+	done := d.IssueD(8, d.Decode(8), false, false, first)
 	// start=12 (bank ready), PRE->ACT at 16, but tRC pushes ACT to 15; 16>15 so 16.
 	want := uint64(16 + 4 + 4 + 4)
 	if done != want {
@@ -94,9 +94,9 @@ func TestRowConflictLatency(t *testing.T) {
 
 func TestTRCEnforced(t *testing.T) {
 	d := tiny()
-	d.Issue(0, false, false, 0) // ACT bank0 at 0
+	d.IssueD(0, d.Decode(0), false, false, 0) // ACT bank0 at 0
 	// Immediately conflict the row at the earliest possible time.
-	done := d.Issue(8, false, false, 0)
+	done := d.IssueD(8, d.Decode(8), false, false, 0)
 	// Bank ready at 12; PRE 12->16; ACT candidate 16 >= tRC bound 15. So
 	// CAS 20, data 24..28.
 	if done != 28 {
@@ -108,8 +108,8 @@ func TestBusSerialisation(t *testing.T) {
 	d := tiny()
 	// Two cold reads to different banks at the same time: the second's
 	// burst must queue behind the first on the shared bus.
-	a := d.Issue(0, false, false, 0) // bank 0: data 8..12
-	b := d.Issue(4, false, false, 0) // bank 1: CAS path also 8..12, bus pushes to 12..16
+	a := d.IssueD(0, d.Decode(0), false, false, 0) // bank 0: data 8..12
+	b := d.IssueD(4, d.Decode(4), false, false, 0) // bank 1: CAS path also 8..12, bus pushes to 12..16
 	if a != 12 || b != 16 {
 		t.Errorf("a=%d b=%d, want 12 and 16", a, b)
 	}
@@ -117,41 +117,41 @@ func TestBusSerialisation(t *testing.T) {
 
 func TestWriteRecovery(t *testing.T) {
 	d := tiny()
-	end := d.Issue(0, true, false, 0)
+	end := d.IssueD(0, d.Decode(0), true, false, 0)
 	if st := d.Stats(); st.Writes != 1 {
 		t.Errorf("Writes = %d", st.Writes)
 	}
 	// Bank unavailable until end+tWR.
-	if d.CanIssue(1, end) {
+	if d.CanIssueD(d.Decode(1), end) {
 		t.Error("bank should still be in write recovery")
 	}
-	if !d.CanIssue(1, end+4) {
+	if !d.CanIssueD(d.Decode(1), end+4) {
 		t.Error("bank should be ready after tWR")
 	}
 }
 
 func TestBankBusyAttribution(t *testing.T) {
 	d := tiny()
-	end := d.Issue(0, false, true, 0) // prefetch occupies bank 0
-	busy, byPf := d.BankBusy(1, end-1)
+	end := d.IssueD(0, d.Decode(0), false, true, 0) // prefetch occupies bank 0
+	busy, byPf := d.BankBusyD(d.Decode(1), end-1)
 	if !busy || !byPf {
 		t.Errorf("busy=%v byPf=%v, want true,true", busy, byPf)
 	}
-	busy, _ = d.BankBusy(1, end)
+	busy, _ = d.BankBusyD(d.Decode(1), end)
 	if busy {
 		t.Error("bank should be free at completion cycle")
 	}
 	// Different bank is unaffected.
-	if busy, _ := d.BankBusy(4, 1); busy {
+	if busy, _ := d.BankBusyD(d.Decode(4), 1); busy {
 		t.Error("bank 1 should be idle")
 	}
 }
 
 func TestEnergyAccounting(t *testing.T) {
 	d := tiny()
-	d.Issue(0, false, false, 0)
-	d.Issue(1, false, false, 12)
-	d.Issue(2, true, false, 20)
+	d.IssueD(0, d.Decode(0), false, false, 0)
+	d.IssueD(1, d.Decode(1), false, false, 12)
+	d.IssueD(2, d.Decode(2), true, false, 20)
 	st := d.Stats()
 	wantOps := 1*10.0 + 2*20.0 + 1*25.0 // 1 ACT, 2 reads, 1 write
 	seconds := float64(st.Cycles) / (float64(mem.CPUHz) / 8)
@@ -166,7 +166,7 @@ func TestEnergyAccounting(t *testing.T) {
 
 func TestObserveCycleExtendsWindow(t *testing.T) {
 	d := tiny()
-	d.Issue(0, false, false, 0)
+	d.IssueD(0, d.Decode(0), false, false, 0)
 	before := d.Stats()
 	d.ObserveCycle(before.Cycles * 10)
 	after := d.Stats()
@@ -188,13 +188,13 @@ func TestStatsEmpty(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	d := tiny()
-	d.Issue(0, false, false, 0)
+	d.IssueD(0, d.Decode(0), false, false, 0)
 	d.Reset()
 	st := d.Stats()
 	if st.Reads != 0 || st.Activations != 0 || st.Cycles != 0 {
 		t.Errorf("reset stats = %+v", st)
 	}
-	if done := d.Issue(0, false, false, 0); done != 12 {
+	if done := d.IssueD(0, d.Decode(0), false, false, 0); done != 12 {
 		t.Errorf("post-reset cold read = %d, want 12", done)
 	}
 }
@@ -207,7 +207,7 @@ func TestIssueProperties(t *testing.T) {
 		now := uint64(0)
 		for _, raw := range lines {
 			l := mem.Line(raw)
-			done := d.Issue(l, false, false, now)
+			done := d.IssueD(l, d.Decode(l), false, false, now)
 			if done <= now {
 				return false
 			}
@@ -224,7 +224,7 @@ func TestSequentialStreamMostlyRowHits(t *testing.T) {
 	d := New(DefaultConfig())
 	now := uint64(0)
 	for l := mem.Line(0); l < 256; l++ {
-		now = d.Issue(l, false, false, now)
+		now = d.IssueD(l, d.Decode(l), false, false, now)
 	}
 	st := d.Stats()
 	if st.RowHits < 200 {
@@ -237,7 +237,7 @@ func BenchmarkIssue(b *testing.B) {
 	now := uint64(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		now = d.Issue(mem.Line(i*17), false, false, now)
+		now = d.IssueD(mem.Line(i*17), d.Decode(mem.Line(i*17)), false, false, now)
 	}
 }
 
@@ -248,19 +248,19 @@ func TestRefreshClosesRowAndHoldsBank(t *testing.T) {
 		Power:    Power{BackgroundWatts: 1, ActivateNJ: 10, ReadNJ: 20, WriteNJ: 25, RefreshNJ: 50},
 	}
 	d := New(cfg)
-	d.Issue(0, false, false, 0) // opens row 0 of bank 0
+	d.IssueD(0, d.Decode(0), false, false, 0) // opens row 0 of bank 0
 	// Right after the k=1 refresh at cycle 100, the bank must be held
 	// until 130 and its row closed.
-	if d.CanIssue(0, 110) {
+	if d.CanIssueD(d.Decode(0), 110) {
 		t.Error("bank available during refresh window")
 	}
-	if !d.CanIssue(0, 130) {
+	if !d.CanIssueD(d.Decode(0), 130) {
 		t.Error("bank not released after tRFC")
 	}
 	// Row was closed: the access at 130 is a row miss (activate), not a
 	// row hit.
 	before := d.Stats().RowMisses
-	d.Issue(0, false, false, 130)
+	d.IssueD(0, d.Decode(0), false, false, 130)
 	if d.Stats().RowMisses != before+1 {
 		t.Error("refresh should close the open row")
 	}
@@ -268,8 +268,8 @@ func TestRefreshClosesRowAndHoldsBank(t *testing.T) {
 
 func TestRefreshDisabledWhenTREFIZero(t *testing.T) {
 	d := tiny() // TREFI 0
-	d.Issue(0, false, false, 0)
-	if !d.CanIssue(0, 1<<20) {
+	d.IssueD(0, d.Decode(0), false, false, 0)
+	if !d.CanIssueD(d.Decode(0), 1<<20) {
 		t.Error("bank should be free with refresh disabled")
 	}
 	st := d.Stats()
@@ -286,7 +286,7 @@ func TestRefreshEnergyCounted(t *testing.T) {
 		Power:    Power{RefreshNJ: 50},
 	}
 	d := New(cfg)
-	d.Issue(0, false, false, 0)
+	d.IssueD(0, d.Decode(0), false, false, 0)
 	d.ObserveCycle(1000) // 10 refresh windows x 2 ranks
 	st := d.Stats()
 	want := 1000.0 / 100 * 2 * 50

@@ -108,8 +108,6 @@ type Options struct {
 	// the same (benchmark, seed, threads, budget) materialize their
 	// workload trace once per pool instead of once per job.
 	Run RunFunc
-	// Metrics receives the pool's counters; one is created if nil.
-	Metrics *Metrics
 	// Instrument, when set, is invoked before every attempt. The
 	// returned bus (which may be nil) is attached as the attempt's
 	// observability sink, and finish — if non-nil — is called when the
@@ -168,11 +166,8 @@ func New(opts Options) *Pool {
 			return batch.RunContext(ctx, s.Benchmark, s.Config)
 		}
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = NewMetrics()
-	}
-	opts.Metrics.setWorkers(opts.Workers)
-	p := &Pool{opts: opts, metrics: opts.Metrics, batch: batch}
+	p := &Pool{opts: opts, metrics: NewMetrics(), batch: batch}
+	p.metrics.setWorkers(opts.Workers)
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {

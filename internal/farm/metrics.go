@@ -86,9 +86,6 @@ type Metrics struct {
 // detaches.
 func (m *Metrics) AttachSLO(t *SLOTracker) { m.slo.Store(t) }
 
-// SLO returns the attached tracker, or nil.
-func (m *Metrics) SLO() *SLOTracker { return m.slo.Load() }
-
 // NewMetrics returns a zeroed metrics block stamped with the current
 // time.
 func NewMetrics() *Metrics {

@@ -94,8 +94,7 @@ func BuildTimeline(st *prov.Stream) []TimelinePoint {
 // set of per-run decision timelines for the dashboard. Safe for
 // concurrent use.
 type Provenance struct {
-	store *prov.Store // nil: record timelines only, persist nothing
-	ring  int
+	store *prov.Store
 
 	mu        sync.Mutex
 	runs      uint64
@@ -105,14 +104,12 @@ type Provenance struct {
 	order     []string             // insertion order for eviction/display
 }
 
-// NewProvenance returns a collector persisting streams into store
-// (which may be nil for in-memory timelines only). ringSize bounds each
-// recorder's record ring; <= 0 uses the prov default.
-func NewProvenance(store *prov.Store, ringSize int) *Provenance {
-	return &Provenance{store: store, ring: ringSize, timelines: map[string]*Timeline{}}
+// NewProvenance returns a collector persisting streams into store.
+func NewProvenance(store *prov.Store) *Provenance {
+	return &Provenance{store: store, timelines: map[string]*Timeline{}}
 }
 
-// Store returns the sidecar store (nil when not persisting).
+// Store returns the sidecar store.
 func (f *Provenance) Store() *prov.Store { return f.store }
 
 // Attach implements the farm Options.Provenance contract: every attempt
@@ -121,7 +118,7 @@ func (f *Provenance) Store() *prov.Store { return f.store }
 // successful attempts — saves the sidecar.
 func (f *Provenance) Attach(spec Spec) (*prov.Recorder, func(res *sim.Result, err error)) {
 	key := spec.Key()
-	rec := prov.New(prov.Options{TraceID: span.TraceIDFromKey(key), RingSize: f.ring})
+	rec := prov.New(prov.Options{TraceID: span.TraceIDFromKey(key)})
 	label := spec.Benchmark + "/" + spec.Mode.String()
 	return rec, func(res *sim.Result, err error) {
 		st := rec.Stream()
@@ -138,7 +135,7 @@ func (f *Provenance) Attach(spec Spec) (*prov.Recorder, func(res *sim.Result, er
 			delete(f.timelines, f.order[0])
 			f.order = f.order[1:]
 		}
-		if err != nil || f.store == nil {
+		if err != nil {
 			return
 		}
 		if serr := f.store.Save(key, st); serr != nil {

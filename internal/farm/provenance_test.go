@@ -36,7 +36,7 @@ func TestProvenanceDoesNotPerturbOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewProvenance(store, 0)
+	col := NewProvenance(store)
 	rec := New(Options{Workers: 2, Provenance: col.Attach})
 	pouts, err := rec.RunBatch(context.Background(), specs, nil, nil)
 	rec.Close()
@@ -91,7 +91,7 @@ func TestExplainAndDiffEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewProvenance(store, 0)
+	col := NewProvenance(store)
 	pool := New(Options{Workers: 2, Provenance: col.Attach})
 	specs := []Spec{
 		{Benchmark: "GemsFDTD", Mode: sim.MS, Config: sim.Default(sim.MS, 400_000)},

@@ -402,7 +402,7 @@ func runsAndGains(outcomes []Outcome) ([]runView, []benchGains) {
 		if base == 0 || res == 0 {
 			return nil
 		}
-		g := 100 * (float64(base)/float64(res) - 1)
+		g := sim.Gain(base, res)
 		return &g
 	}
 	benches := make([]string, 0, len(cycles))
@@ -554,7 +554,6 @@ func (s *Server) handleFlightrecList(w http.ResponseWriter, r *http.Request) {
 		ID       string `json:"id"`
 		Label    string `json:"label"`
 		Key      string `json:"key,omitempty"`
-		Node     string `json:"node,omitempty"`
 		TraceID  string `json:"trace_id,omitempty"`
 		Detector string `json:"detector"`
 		Detail   string `json:"detail"`
@@ -565,7 +564,7 @@ func (s *Server) handleFlightrecList(w http.ResponseWriter, r *http.Request) {
 	if s.telemetry != nil {
 		for _, b := range s.telemetry.Bundles() {
 			rows = append(rows, row{ID: b.ID, Label: b.Bundle.Label,
-				Key: b.Bundle.Key, Node: b.Bundle.Node, TraceID: b.Bundle.TraceID,
+				Key: b.Bundle.Key, TraceID: b.Bundle.TraceID,
 				Detector: b.Bundle.Trigger.Detector, Detail: b.Bundle.Trigger.Detail,
 				Window: b.Bundle.Trigger.Window, Cycle: b.Bundle.Trigger.Cycle})
 		}
@@ -598,7 +597,7 @@ func (s *Server) handleFlightrecBundle(w http.ResponseWriter, r *http.Request) {
 // loadProvStream fetches one stored provenance stream by spec key,
 // resolving unique key prefixes like the CLI (and git) do.
 func (s *Server) loadProvStream(key string) (*prov.Stream, int, error) {
-	if s.provenance == nil || s.provenance.Store() == nil {
+	if s.provenance == nil {
 		return nil, http.StatusNotFound, fmt.Errorf("no provenance store attached")
 	}
 	ps := s.provenance.Store()

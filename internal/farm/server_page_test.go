@@ -396,7 +396,7 @@ func TestServerClusterMetricFamilies(t *testing.T) {
 	runner := &fakeClusterRunner{pool: pool, snap: ClusterSnapshot{
 		Workers: 3, TasksPending: 2, LeasesActive: 1,
 		LeaseExpirations: 4, Steals: 2, LateResults: 1, Completed: 10,
-		Store: &StoreStats{Segmented: true, Segments: 2, Entries: 10, CacheHits: 7, CacheMisses: 3, Compactions: 1},
+		Store: &StoreStats{Segments: 2, Entries: 10, CacheHits: 7, CacheMisses: 3, Compactions: 1},
 	}}
 	api := NewServerFor(runner, nil)
 	srv := httptest.NewServer(api.Handler())

@@ -15,16 +15,13 @@ import (
 // sustained rates far above it on the short windows mean pages, on the
 // long windows mean tickets.
 
-// SLOConfig sets the objectives.
-type SLOConfig struct {
-	// AvailabilityObjective is the fraction of runs that must succeed
-	// (default 0.999).
-	AvailabilityObjective float64
-	// LatencyObjective is the fraction of runs that must finish within
-	// LatencyThresholdSec (default 0.95 within 30s).
-	LatencyObjective    float64
-	LatencyThresholdSec float64
-}
+// The objectives: availabilityObjective of runs must succeed, and
+// latencyObjective of runs must finish within latencyThresholdSec.
+const (
+	availabilityObjective = 0.999
+	latencyObjective      = 0.95
+	latencyThresholdSec   = 30
+)
 
 // sloWindows are the burn-rate evaluation windows, label value and
 // width in minutes.
@@ -51,7 +48,6 @@ type sloBucket struct {
 // computes windowed burn rates on scrape. Attach one to a Metrics with
 // AttachSLO; it is safe for concurrent use.
 type SLOTracker struct {
-	cfg SLOConfig
 	now func() time.Time
 
 	mu    sync.Mutex
@@ -61,22 +57,13 @@ type SLOTracker struct {
 	slow  uint64
 }
 
-// NewSLOTracker builds a tracker; zero config fields get the defaults.
-// now is injectable for tests; nil means the system clock.
-func NewSLOTracker(cfg SLOConfig, now func() time.Time) *SLOTracker {
-	if cfg.AvailabilityObjective <= 0 || cfg.AvailabilityObjective >= 1 {
-		cfg.AvailabilityObjective = 0.999
-	}
-	if cfg.LatencyObjective <= 0 || cfg.LatencyObjective >= 1 {
-		cfg.LatencyObjective = 0.95
-	}
-	if cfg.LatencyThresholdSec <= 0 {
-		cfg.LatencyThresholdSec = 30
-	}
+// NewSLOTracker builds a tracker. now is injectable for tests; nil
+// means the system clock.
+func NewSLOTracker(now func() time.Time) *SLOTracker {
 	if now == nil {
 		now = time.Now
 	}
-	return &SLOTracker{cfg: cfg, now: now}
+	return &SLOTracker{now: now}
 }
 
 // RecordRun feeds one terminal run into the tracker.
@@ -94,7 +81,7 @@ func (t *SLOTracker) RecordRun(ok bool, wallSec float64) {
 		b.bad++
 		t.bad++
 	}
-	if wallSec > t.cfg.LatencyThresholdSec {
+	if wallSec > latencyThresholdSec {
 		b.slow++
 		t.slow++
 	}
@@ -130,10 +117,10 @@ func (t *SLOTracker) addTo(reg *prom.Registry) {
 	defer t.mu.Unlock()
 
 	obj := reg.Gauge("farm_slo_objective", "Configured objective per SLO.", "slo")
-	obj.With("availability").Set(t.cfg.AvailabilityObjective)
-	obj.With("latency").Set(t.cfg.LatencyObjective)
+	obj.With("availability").Set(availabilityObjective)
+	obj.With("latency").Set(latencyObjective)
 	reg.Gauge("farm_slo_latency_threshold_seconds",
-		"Run wall-clock bound the latency SLO counts against.").With().Set(t.cfg.LatencyThresholdSec)
+		"Run wall-clock bound the latency SLO counts against.").With().Set(latencyThresholdSec)
 
 	avail := reg.Gauge("farm_slo_availability_burn_rate",
 		"Failed-run budget burn rate over the trailing window (1.0 = spending exactly the budget).",
@@ -143,12 +130,12 @@ func (t *SLOTracker) addTo(reg *prom.Registry) {
 		"window")
 	for _, w := range sloWindows {
 		total, bad, slow := t.windowLocked(nowMinute, w.mins)
-		avail.With(w.label).Set(burn(bad, total, t.cfg.AvailabilityObjective))
-		lat.With(w.label).Set(burn(slow, total, t.cfg.LatencyObjective))
+		avail.With(w.label).Set(burn(bad, total, availabilityObjective))
+		lat.With(w.label).Set(burn(slow, total, latencyObjective))
 	}
 
 	rem := reg.Gauge("farm_slo_error_budget_remaining",
 		"Fraction of the lifetime error budget left per SLO (negative = overspent).", "slo")
-	rem.With("availability").Set(1 - burn(t.bad, t.total, t.cfg.AvailabilityObjective))
-	rem.With("latency").Set(1 - burn(t.slow, t.total, t.cfg.LatencyObjective))
+	rem.With("availability").Set(1 - burn(t.bad, t.total, availabilityObjective))
+	rem.With("latency").Set(1 - burn(t.slow, t.total, latencyObjective))
 }

@@ -1,6 +1,8 @@
 package farm
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -29,77 +31,81 @@ func renderSLO(t *testing.T, tr *SLOTracker) string {
 	return out
 }
 
+// wantSample asserts the value of one exposition series, within float
+// rounding: the budget 1-objective is inexact in binary.
+func wantSample(t *testing.T, out, series string, want float64) {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		v, ok := strings.CutPrefix(line, series+" ")
+		if !ok {
+			continue
+		}
+		got, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", series, err)
+		}
+		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+			t.Fatalf("%s = %v, want %v:\n%s", series, got, want, out)
+		}
+		return
+	}
+	t.Fatalf("exposition missing %s:\n%s", series, out)
+}
+
 func TestSLOTrackerDefaults(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{}, nil)
-	if tr.cfg.AvailabilityObjective != 0.999 {
-		t.Fatalf("availability default = %v", tr.cfg.AvailabilityObjective)
-	}
-	if tr.cfg.LatencyObjective != 0.95 || tr.cfg.LatencyThresholdSec != 30 {
-		t.Fatalf("latency defaults = %v within %vs", tr.cfg.LatencyObjective, tr.cfg.LatencyThresholdSec)
-	}
+	out := renderSLO(t, NewSLOTracker(nil))
+	wantSample(t, out, `farm_slo_objective{slo="availability"}`, 0.999)
+	wantSample(t, out, `farm_slo_objective{slo="latency"}`, 0.95)
+	wantSample(t, out, `farm_slo_latency_threshold_seconds`, 30)
 }
 
 func TestSLOBurnRates(t *testing.T) {
 	clk := &sloClock{t: time.Unix(1_700_000_000, 0)}
-	tr := NewSLOTracker(SLOConfig{AvailabilityObjective: 0.9, LatencyObjective: 0.5, LatencyThresholdSec: 1}, clk.now)
+	tr := NewSLOTracker(clk.now)
 
-	// 8 good + 2 bad runs: 20% failures against a 10% budget => burn 2.0.
-	// 5 of the 10 are slow (>1s): 50% against a 50% budget => burn 1.0.
-	for i := 0; i < 10; i++ {
+	// 998 good + 2 bad runs: 0.2% failures against a 0.1% budget =>
+	// burn 2. 50 of the 1000 are slow (>30s): 5% against a 5% budget
+	// => burn 1.
+	for i := 0; i < 1000; i++ {
 		wall := 0.5
-		if i < 5 {
-			wall = 2
+		if i < 50 {
+			wall = 31
 		}
 		tr.RecordRun(i >= 2, wall)
 	}
 
 	out := renderSLO(t, tr)
-	for _, want := range []string{
-		`farm_slo_objective{slo="availability"} 0.9`,
-		`farm_slo_objective{slo="latency"} 0.5`,
-		`farm_slo_availability_burn_rate{window="5m"} 2`,
-		`farm_slo_availability_burn_rate{window="6h"} 2`,
-		`farm_slo_latency_burn_rate{window="5m"} 1`,
-		`farm_slo_error_budget_remaining{slo="availability"} -1`,
-		`farm_slo_error_budget_remaining{slo="latency"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
+	wantSample(t, out, `farm_slo_availability_burn_rate{window="5m"}`, 2)
+	wantSample(t, out, `farm_slo_availability_burn_rate{window="6h"}`, 2)
+	wantSample(t, out, `farm_slo_latency_burn_rate{window="5m"}`, 1)
+	wantSample(t, out, `farm_slo_error_budget_remaining{slo="availability"}`, -1)
+	wantSample(t, out, `farm_slo_error_budget_remaining{slo="latency"}`, 0)
 }
 
 func TestSLOWindowsAge(t *testing.T) {
 	clk := &sloClock{t: time.Unix(1_700_000_000, 0)}
-	tr := NewSLOTracker(SLOConfig{AvailabilityObjective: 0.9}, clk.now)
+	tr := NewSLOTracker(clk.now)
 
 	tr.RecordRun(false, 0.1) // one failure now
 	clk.advance(10 * time.Minute)
 	tr.RecordRun(true, 0.1) // one success later
 
-	// The failure has aged out of the 5m window but not the 30m one.
+	// The failure has aged out of the 5m window but not the 30m one:
+	// 1 bad of 2 against a 0.1% budget => burn 500.
 	out := renderSLO(t, tr)
-	if !strings.Contains(out, `farm_slo_availability_burn_rate{window="5m"} 0`) {
-		t.Fatalf("5m window should only see the success:\n%s", out)
-	}
-	if !strings.Contains(out, `farm_slo_availability_burn_rate{window="30m"} 5`) {
-		t.Fatalf("30m window should see 1 bad of 2 => burn 5:\n%s", out)
-	}
+	wantSample(t, out, `farm_slo_availability_burn_rate{window="5m"}`, 0)
+	wantSample(t, out, `farm_slo_availability_burn_rate{window="30m"}`, 500)
 
 	// Push past the ring horizon: everything windowed ages out, but the
 	// lifetime budget keeps the spend.
 	clk.advance(7 * time.Hour)
 	out = renderSLO(t, tr)
-	if !strings.Contains(out, `farm_slo_availability_burn_rate{window="6h"} 0`) {
-		t.Fatalf("6h window should be empty after 7h:\n%s", out)
-	}
-	if !strings.Contains(out, `farm_slo_error_budget_remaining{slo="availability"} -4`) {
-		t.Fatalf("lifetime budget should remember the failure:\n%s", out)
-	}
+	wantSample(t, out, `farm_slo_availability_burn_rate{window="6h"}`, 0)
+	wantSample(t, out, `farm_slo_error_budget_remaining{slo="availability"}`, -499)
 }
 
 func TestSLOEmptyTrackerIsQuiet(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{}, (&sloClock{t: time.Unix(1_700_000_000, 0)}).now)
+	tr := NewSLOTracker((&sloClock{t: time.Unix(1_700_000_000, 0)}).now)
 	out := renderSLO(t, tr)
 	if !strings.Contains(out, `farm_slo_error_budget_remaining{slo="availability"} 1`) {
 		t.Fatalf("untouched budget should be whole:\n%s", out)
@@ -114,12 +120,12 @@ func TestSLOEmptyTrackerIsQuiet(t *testing.T) {
 func TestMetricsFeedsAttachedSLO(t *testing.T) {
 	clk := &sloClock{t: time.Unix(1_700_000_000, 0)}
 	m := NewMetrics()
-	tr := NewSLOTracker(SLOConfig{LatencyThresholdSec: 1}, clk.now)
+	tr := NewSLOTracker(clk.now)
 	m.AttachSLO(tr)
 
 	spec := &Spec{Benchmark: "pointer-chase"}
 	res := fakeResult(42)
-	m.finish(spec, &Outcome{Benchmark: spec.Benchmark, WallMS: 2000, Err: "boom"})
+	m.finish(spec, &Outcome{Benchmark: spec.Benchmark, WallMS: 31_000, Err: "boom"})
 	m.finish(spec, &Outcome{Benchmark: spec.Benchmark, WallMS: 10, Result: &res})
 
 	tr.mu.Lock()

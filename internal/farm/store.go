@@ -21,21 +21,18 @@ import (
 // not served on resume — a rerun retries them — and background
 // compaction eventually drops them along with superseded duplicates.
 //
-// Two layouts share the one implementation:
-//
-//   - single-file: a path ending in ".jsonl" (or naming an existing
-//     file) is one unbounded append-only segment — the PR-1 format,
-//     still what `asdfarm run -out results.jsonl` writes.
-//   - segmented: any other path is a directory of seg-NNNNNNNN.jsonl
-//     files. The last segment is the append target; when it exceeds
-//     MaxSegmentBytes it is sealed and a new one starts. When enough
-//     sealed lines are droppable (superseded or failed), a background
-//     compaction rewrites the sealed segments into one and deletes the
-//     rest.
+// The store is a directory of seg-NNNNNNNN.jsonl files. The last
+// segment is the append target; when it exceeds maxSegmentBytes it is
+// sealed and a new one starts. When enough sealed lines are droppable
+// (superseded or failed), a background compaction rewrites the sealed
+// segments into one and deletes the rest.
 type Store struct {
-	path   string // as given: the file (single) or directory (segmented)
-	single bool
-	opts   StoreOptions
+	path string // the segment directory
+
+	// Limits, copied from the constants below at open so in-package
+	// tests can shrink them.
+	maxSegBytes int64
+	minGarbage  int
 
 	mu     sync.Mutex
 	f      *os.File // active segment, opened O_APPEND
@@ -50,31 +47,16 @@ type Store struct {
 	hits, misses, rotations, compactions uint64
 }
 
-// StoreOptions tunes the segmented layout; the zero value means
-// defaults. Single-file stores ignore everything but CacheEntries.
-type StoreOptions struct {
-	// MaxSegmentBytes seals the active segment once it grows past this
-	// size (default 4 MiB).
-	MaxSegmentBytes int64
-	// CacheEntries bounds the read-through outcome cache (default 1024).
-	CacheEntries int
-	// CompactMinGarbage is how many droppable lines must accumulate in
-	// sealed segments before a background compaction starts (default 64).
-	CompactMinGarbage int
-}
-
-func (o StoreOptions) withDefaults() StoreOptions {
-	if o.MaxSegmentBytes <= 0 {
-		o.MaxSegmentBytes = 4 << 20
-	}
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = 1024
-	}
-	if o.CompactMinGarbage <= 0 {
-		o.CompactMinGarbage = 64
-	}
-	return o
-}
+const (
+	// maxSegmentBytes seals the active segment once it grows past this
+	// size.
+	maxSegmentBytes = 4 << 20
+	// cacheEntries bounds the read-through outcome cache.
+	cacheEntries = 1024
+	// compactMinGarbage is how many droppable lines must accumulate in
+	// sealed segments before a background compaction starts.
+	compactMinGarbage = 64
+)
 
 // segment is one on-disk JSONL file.
 type segment struct {
@@ -95,7 +77,6 @@ type segref struct {
 // StoreStats is a point-in-time view of the store, shaped for JSON.
 type StoreStats struct {
 	Path        string `json:"path"`
-	Segmented   bool   `json:"segmented"`
 	Segments    int    `json:"segments"`
 	Entries     int    `json:"entries"` // live successes servable on resume
 	Lines       int    `json:"lines"`   // outcomes on disk, live + droppable
@@ -107,39 +88,29 @@ type StoreStats struct {
 	Compactions uint64 `json:"compactions"`
 }
 
-// OpenStore opens (creating if absent) the store at path and rebuilds
-// its index from disk. A path ending in ".jsonl" — or naming an
-// existing plain file — is a legacy single-file store; anything else is
-// a segment directory. A truncated final line in the append target — a
-// crash mid-append — is tolerated and dropped; corruption anywhere else
-// is an error.
+// OpenStore opens (creating if absent) the segment directory at path
+// and rebuilds its index from disk. A truncated final line in the
+// append target — a crash mid-append — is tolerated and dropped;
+// corruption anywhere else is an error. A path naming a regular file
+// is rejected: a single-file store is already a valid segment, so it
+// migrates by moving it into a directory as seg-00000001.jsonl.
 func OpenStore(path string) (*Store, error) {
-	return OpenStoreOptions(path, StoreOptions{})
-}
-
-// OpenStoreOptions is OpenStore with explicit tuning.
-func OpenStoreOptions(path string, opts StoreOptions) (*Store, error) {
-	s := &Store{path: path, opts: opts.withDefaults(), index: make(map[string]segref)}
-	s.cache = newOutcomeLRU(s.opts.CacheEntries)
-
 	fi, err := os.Stat(path)
 	switch {
 	case err == nil && !fi.IsDir():
-		s.single = true
-	case err == nil: // existing directory
-	case os.IsNotExist(err) && strings.HasSuffix(path, ".jsonl"):
-		s.single = true
+		return nil, fmt.Errorf("farm: open store: %s is a file, not a segment directory; "+
+			"migrate it with: mkdir DIR && mv %s DIR/seg-00000001.jsonl", path, path)
 	case os.IsNotExist(err):
 		if err := os.MkdirAll(path, 0o755); err != nil {
 			return nil, fmt.Errorf("farm: open store: %w", err)
 		}
-	default:
+	case err != nil:
 		return nil, fmt.Errorf("farm: open store: %w", err)
 	}
 
-	if s.single {
-		s.segs = []*segment{{id: 1, path: path}}
-	} else if s.segs, err = listSegments(path); err != nil {
+	s := &Store{path: path, maxSegBytes: maxSegmentBytes, minGarbage: compactMinGarbage,
+		index: make(map[string]segref), cache: newOutcomeLRU(cacheEntries)}
+	if s.segs, err = listSegments(path); err != nil {
 		return nil, err
 	}
 	if len(s.segs) == 0 {
@@ -271,7 +242,7 @@ func (s *Store) segByID(id int64) *segment {
 	panic(fmt.Sprintf("farm: store index references unknown segment %d", id))
 }
 
-// Path returns the backing file or directory path.
+// Path returns the segment directory.
 func (s *Store) Path() string { return s.path }
 
 // Len returns how many outcomes the store holds on disk (live +
@@ -299,7 +270,7 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StoreStats{
-		Path: s.path, Segmented: !s.single, Segments: len(s.segs),
+		Path: s.path, Segments: len(s.segs),
 		Entries: len(s.index), CacheHits: s.hits, CacheMisses: s.misses,
 		Rotations: s.rotations, Compactions: s.compactions,
 	}
@@ -374,7 +345,7 @@ func (s *Store) Append(o Outcome) error {
 		return fmt.Errorf("farm: store closed")
 	}
 	active := s.segs[len(s.segs)-1]
-	if !s.single && active.size > 0 && active.size+int64(len(data)) > s.opts.MaxSegmentBytes {
+	if active.size > 0 && active.size+int64(len(data)) > s.maxSegBytes {
 		next, err := s.rotateLocked(active)
 		if err != nil {
 			return err
@@ -417,14 +388,14 @@ func (s *Store) rotateLocked(active *segment) (*segment, error) {
 // maybeCompactLocked starts a background compaction when the sealed
 // segments carry enough droppable lines to be worth rewriting.
 func (s *Store) maybeCompactLocked() {
-	if s.single || s.compacting || len(s.segs) < 2 {
+	if s.compacting || len(s.segs) < 2 {
 		return
 	}
 	dead := 0
 	for _, seg := range s.segs[:len(s.segs)-1] {
 		dead += seg.dead
 	}
-	if dead < s.opts.CompactMinGarbage {
+	if dead < s.minGarbage {
 		return
 	}
 	s.compacting = true
@@ -436,15 +407,6 @@ func (s *Store) maybeCompactLocked() {
 		s.compacting = false
 		s.mu.Unlock()
 	}()
-}
-
-// Compact synchronously rewrites the sealed segments into one, dropping
-// superseded and failed lines. It is a no-op for single-file stores and
-// when fewer than two segments exist. Any in-flight background
-// compaction completes first.
-func (s *Store) Compact() error {
-	s.wg.Wait()
-	return s.doCompact()
 }
 
 // doCompact performs one compaction cycle: snapshot the sealed
@@ -460,7 +422,7 @@ func (s *Store) doCompact() error {
 		ref segref
 	}
 	s.mu.Lock()
-	if s.single || s.closed || len(s.segs) < 2 {
+	if s.closed || len(s.segs) < 2 {
 		s.mu.Unlock()
 		return nil
 	}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,22 +26,31 @@ func failedOutcome(bench string) Outcome {
 }
 
 // tinySegStore opens a segmented store with a tiny segment bound so a
-// handful of appends exercises rotation.
-func tinySegStore(t *testing.T, opts StoreOptions) *Store {
+// handful of appends exercises rotation. minGarbage > 0 replaces the
+// background compaction threshold.
+func tinySegStore(t *testing.T, minGarbage int) *Store {
 	t.Helper()
-	if opts.MaxSegmentBytes == 0 {
-		opts.MaxSegmentBytes = 512
-	}
-	s, err := OpenStoreOptions(filepath.Join(t.TempDir(), "store"), opts)
+	s, err := OpenStore(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	s.maxSegBytes = 512
+	if minGarbage > 0 {
+		s.minGarbage = minGarbage
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
 }
 
+// compactNow waits out any background compaction, then runs one
+// synchronously.
+func (s *Store) compactNow() error {
+	s.wg.Wait()
+	return s.doCompact()
+}
+
 func TestSegmentedStoreRotatesAndReopens(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{})
+	s := tinySegStore(t, 0)
 	var outs []Outcome
 	for i := 0; i < 20; i++ {
 		o := okOutcome(fmt.Sprintf("bench-%02d", i), uint64(1000+i))
@@ -50,7 +60,7 @@ func TestSegmentedStoreRotatesAndReopens(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if !st.Segmented || st.Segments < 2 || st.Rotations == 0 {
+	if st.Segments < 2 || st.Rotations == 0 {
 		t.Fatalf("expected multiple segments after tiny-bound appends, stats %+v", st)
 	}
 	if st.Entries != 20 || st.Lines != 20 {
@@ -63,7 +73,7 @@ func TestSegmentedStoreRotatesAndReopens(t *testing.T) {
 
 	// Reopen: the index is rebuilt by scanning segments, and every
 	// outcome is still served.
-	s2, err := OpenStoreOptions(dir, StoreOptions{MaxSegmentBytes: 512})
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +90,7 @@ func TestSegmentedStoreRotatesAndReopens(t *testing.T) {
 }
 
 func TestSegmentedStoreLastWriteWins(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{})
+	s := tinySegStore(t, 0)
 	key := okOutcome("dup", 1).Key
 	for i := uint64(1); i <= 5; i++ {
 		if err := s.Append(okOutcome("dup", i*100)); err != nil {
@@ -98,7 +108,7 @@ func TestSegmentedStoreLastWriteWins(t *testing.T) {
 
 func TestSegmentedStoreCompactionDropsGarbage(t *testing.T) {
 	// High threshold so compaction only runs when asked.
-	s := tinySegStore(t, StoreOptions{CompactMinGarbage: 1 << 30})
+	s := tinySegStore(t, 1<<30)
 	for i := uint64(1); i <= 6; i++ {
 		if err := s.Append(okOutcome("rewritten", i)); err != nil {
 			t.Fatal(err)
@@ -117,7 +127,7 @@ func TestSegmentedStoreCompactionDropsGarbage(t *testing.T) {
 	if before.Segments < 2 {
 		t.Fatalf("test needs sealed segments, stats %+v", before)
 	}
-	if err := s.Compact(); err != nil {
+	if err := s.compactNow(); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Stats()
@@ -146,14 +156,14 @@ func TestSegmentedStoreCompactionDropsGarbage(t *testing.T) {
 }
 
 func TestSegmentedStoreBackgroundCompactionTriggers(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{CompactMinGarbage: 4})
+	s := tinySegStore(t, 4)
 	for i := uint64(1); i <= 12; i++ {
 		if err := s.Append(okOutcome("churn", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Quiesce any background compaction the appends kicked off.
-	if err := s.Compact(); err != nil {
+	if err := s.compactNow(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -166,7 +176,7 @@ func TestSegmentedStoreBackgroundCompactionTriggers(t *testing.T) {
 }
 
 func TestSegmentedStoreCacheCounters(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{})
+	s := tinySegStore(t, 0)
 	o := okOutcome("cached", 42)
 	if err := s.Append(o); err != nil {
 		t.Fatal(err)
@@ -202,7 +212,7 @@ func TestSegmentedStoreCacheCounters(t *testing.T) {
 }
 
 func TestSegmentedStoreTornTailTruncated(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{})
+	s := tinySegStore(t, 0)
 	o := okOutcome("survivor", 9)
 	if err := s.Append(o); err != nil {
 		t.Fatal(err)
@@ -272,30 +282,51 @@ func TestSegmentedStoreRejectsMidFileCorruption(t *testing.T) {
 	}
 }
 
-func TestLegacySingleFilePathStaysSingleFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
-	s, err := OpenStore(path)
+// A path naming a regular file — the retired single-file layout — is
+// refused with the migration recipe and left untouched, and the recipe
+// works: the file opens as the first segment of a directory.
+func TestOpenStoreRejectsFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "results.jsonl")
+	o := okOutcome("legacy", 7)
+	line, err := json.Marshal(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	line = append(line, '\n')
+	if err := os.WriteFile(path, line, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(path)
+	if err == nil {
+		s.Close()
+		t.Fatal("OpenStore accepted a regular file")
+	}
+	if !strings.Contains(err.Error(), "seg-00000001.jsonl") {
+		t.Fatalf("error should say how to migrate: %v", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != string(line) {
+		t.Fatalf("rejected file was modified: %q %v", data, err)
+	}
+
+	migrated := filepath.Join(dir, "store")
+	if err := os.Mkdir(migrated, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path, filepath.Join(migrated, "seg-00000001.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = OpenStore(migrated); err != nil {
+		t.Fatalf("migrated store: %v", err)
+	}
 	defer s.Close()
-	for i := uint64(0); i < 4; i++ {
-		if err := s.Append(okOutcome(fmt.Sprintf("legacy-%d", i), i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Segmented || st.Segments != 1 {
-		t.Fatalf("single-file store reported %+v", st)
-	}
-	fi, err := os.Stat(path)
-	if err != nil || fi.IsDir() {
-		t.Fatalf("legacy path is not a plain file: %v %v", fi, err)
+	if got, ok := s.Lookup(o.Key); !ok || got.Result.Cycles != 7 {
+		t.Fatalf("migrated lookup = %+v (ok=%v), want cycles 7", got, ok)
 	}
 }
 
 func TestSegmentedStoreConcurrentAppendLookup(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{CompactMinGarbage: 8})
+	s := tinySegStore(t, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -312,7 +343,7 @@ func TestSegmentedStoreConcurrentAppendLookup(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if err := s.Compact(); err != nil {
+	if err := s.compactNow(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Completed(); got != 40 {

@@ -2,7 +2,6 @@ package farm
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -10,11 +9,11 @@ import (
 	"asdsim/internal/sim"
 )
 
-// An interrupted batch must resume from its partial JSONL: persisted
+// An interrupted batch must resume from its partial store: persisted
 // successes are served from disk, only the remainder runs, and failures
 // are retried rather than resumed.
 func TestStoreResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
+	path := filepath.Join(t.TempDir(), "results")
 
 	var mu sync.Mutex
 	ran := map[string]int{}
@@ -38,7 +37,7 @@ func TestStoreResume(t *testing.T) {
 		{Benchmark: "fails", Mode: sim.NP, Config: sim.Default(sim.NP, 10_000)}}
 
 	// First pass: everything runs, two successes and one failure land
-	// in the file.
+	// in the store.
 	store, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
@@ -89,50 +88,4 @@ func countRuns(m map[string]int) int {
 		n += v
 	}
 	return n
-}
-
-// A truncated final line — a crash mid-append — must not block
-// reopening; everything before it is preserved.
-func TestStoreToleratesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
-	store, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := Outcome{Key: "k1", Benchmark: "a", Result: &sim.Result{Cycles: 5}, Attempts: 1}
-	if err := store.Append(good); err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
-
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"key":"k2","benchmark":"b","result":{"Cyc`) // torn write
-	f.Close()
-
-	store, err = OpenStore(path)
-	if err != nil {
-		t.Fatalf("torn tail rejected: %v", err)
-	}
-	defer store.Close()
-	if _, ok := store.Lookup("k1"); !ok {
-		t.Error("intact line lost")
-	}
-	if _, ok := store.Lookup("k2"); ok {
-		t.Error("torn line resurrected")
-	}
-}
-
-// Corruption before the final line is a real error, not silently
-// skipped data.
-func TestStoreRejectsMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
-	if err := os.WriteFile(path, []byte("garbage\n{\"key\":\"k\"}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStore(path); err == nil {
-		t.Fatal("mid-file corruption accepted")
-	}
 }

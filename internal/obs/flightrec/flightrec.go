@@ -47,12 +47,10 @@ type Options struct {
 	// Config, when non-nil, is the run's serialized configuration,
 	// embedded verbatim in every bundle.
 	Config json.RawMessage
-	// Key, Node and TraceID tag bundles with the farm job identity
-	// (spec key), the executing node's name, and the distributed trace
-	// the run belongs to, so a triage bundle pulled off a cluster
-	// worker correlates with the batch trace. All optional.
+	// Key and TraceID tag bundles with the farm job identity (spec
+	// key) and the distributed trace the run belongs to, so a triage
+	// bundle correlates with the batch trace. Both optional.
 	Key     string
-	Node    string
 	TraceID string
 }
 

@@ -85,9 +85,6 @@ var opNames = [numOps]string{
 	"nominate", "drop", "issue", "install", "pb-hit", "late", "wasted",
 }
 
-// NumOps is the number of defined lineage ops.
-const NumOps = int(numOps)
-
 // String implements fmt.Stringer.
 func (o Op) String() string {
 	if int(o) < len(opNames) {

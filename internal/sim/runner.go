@@ -75,6 +75,17 @@ type Result struct {
 	CyclesPerSec float64 `json:"-"`
 }
 
+// Gain returns the percentage performance improvement of a run taking
+// resCycles over one taking baseCycles: 100 * (base/res - 1), or 0 when
+// resCycles is 0. Both runs must have executed the same instruction
+// budget for the comparison to be meaningful.
+func Gain(baseCycles, resCycles uint64) float64 {
+	if resCycles == 0 {
+		return 0
+	}
+	return 100 * (float64(baseCycles)/float64(resCycles) - 1)
+}
+
 // stamp fills the wall-clock fields from the run's start time.
 func (res *Result) stamp(start time.Time) {
 	res.WallSeconds = time.Since(start).Seconds() //asd:allow determinism wall-clock throughput stamp; excluded from serialized Results
